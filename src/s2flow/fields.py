@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeUnresolvedError, FileFormatError
-from .mesh import TriMesh, build_icosphere, laplacian_apply
+from .mesh import TriMesh, build_icosphere
 
 FOUR_PI = 4.0 * math.pi
 
@@ -72,10 +72,32 @@ def _as_vectors(t):
     return t.vectors if isinstance(t, TangentField) else np.asarray(t, dtype=float)
 
 
+def energy_and_tension(u):
+    """Energy and tension vectors of u from one stiffness product K u.
+
+    The tension is the tangential part of the lumped vector Laplacian,
+    projected twice so the tangency residual scales with the tension itself,
+    not with the Laplacian.
+    """
+    mesh = u.mesh
+    k_u = mesh.stiffness @ u.values
+    e = 0.5 * float(np.einsum("ij,ij->", u.values, k_u))
+    lap = -k_u / mesh.vertex_areas[:, None]
+    t = lap - np.einsum("ij,ij->i", lap, u.values)[:, None] * u.values
+    t -= np.einsum("ij,ij->i", t, u.values)[:, None] * u.values
+    return e, t
+
+
 def energy(u):
     """Dirichlet energy 0.5 * sum_edges w_ij |u_i - u_j|^2."""
-    k_u = u.mesh.stiffness @ u.values
-    return 0.5 * float(np.einsum("ij,ij->", u.values, k_u))
+    return energy_and_tension(u)[0]
+
+
+def edge_energies(u):
+    """Per-edge terms 0.5 * w_ij |u_i - u_j|^2 of the Dirichlet energy."""
+    e = u.mesh.edges
+    d = u.values[e[:, 0]] - u.values[e[:, 1]]
+    return 0.5 * u.mesh.edge_weights * np.einsum("ij,ij->i", d, d)
 
 
 def degree_estimate(u):
@@ -101,12 +123,8 @@ def degree(u):
 
 
 def tension(u):
-    """Tangential part of the vector Laplacian (projected twice so the
-    tangency residual scales with the tension itself, not with the Laplacian)."""
-    lap = laplacian_apply(u.mesh, u.values)
-    t = lap - np.einsum("ij,ij->i", lap, u.values)[:, None] * u.values
-    t -= np.einsum("ij,ij->i", t, u.values)[:, None] * u.values
-    return TangentField(u, t)
+    """Tangential part of the vector Laplacian (see energy_and_tension)."""
+    return TangentField(u, energy_and_tension(u)[1])
 
 
 def l2_norm_sq(t, mesh=None):
@@ -143,8 +161,7 @@ def dirichlet_diff(u, v):
 def l2_dist_sq(u, v):
     """Mass-weighted squared L2 distance between two maps on one mesh."""
     _check_same_mesh(u, v)
-    d = u.values - v.values
-    return float(np.einsum("i,ij,ij->", u.mesh.vertex_areas, d, d))
+    return l2_norm_sq(u.values - v.values, u.mesh)
 
 
 def local_energy(u, center, radius):
@@ -156,11 +173,7 @@ def local_energy(u, center, radius):
         return energy(u)
     inside = u.mesh.vertices @ np.asarray(center, dtype=float) >= math.cos(radius)
     e = u.mesh.edges
-    m = inside[e[:, 0]] & inside[e[:, 1]]
-    if not m.any():
-        return 0.0
-    d = u.values[e[m, 0]] - u.values[e[m, 1]]
-    return 0.5 * float(np.einsum("i,ij,ij->", u.mesh.edge_weights[m], d, d))
+    return float(edge_energies(u)[inside[e[:, 0]] & inside[e[:, 1]]].sum())
 
 
 # --- plain-text map files ---------------------------------------------------

@@ -22,7 +22,8 @@ from scipy.sparse.linalg import splu
 from .errors import (CertificateError, DegreeUnresolvedError,
                      EnergyMonotonicityError, ParameterDomainError, SolverError,
                      StepDegenerateError)
-from .fields import FOUR_PI, SphereMap, degree, l2_dist_sq, mean
+from .fields import (FOUR_PI, SphereMap, degree, edge_energies,
+                     energy_and_tension, l2_dist_sq, l2_norm_sq, mean)
 
 SCHEMES = ("explicit", "semi-implicit")
 
@@ -84,19 +85,13 @@ def default_dt(mesh, scheme):
 
 
 class _State:
-    """Laplacian-derived quantities of the current map, computed once per step."""
+    """Energy and tension of the current map, computed once per step."""
 
-    __slots__ = ("energy", "lap", "tau", "tau_sq")
+    __slots__ = ("energy", "tau", "tau_sq")
 
     def __init__(self, u):
-        mesh = u.mesh
-        k_u = mesh.stiffness @ u.values
-        self.energy = 0.5 * float(np.einsum("ij,ij->", u.values, k_u))
-        self.lap = -k_u / mesh.vertex_areas[:, None]
-        t = self.lap - np.einsum("ij,ij->i", self.lap, u.values)[:, None] * u.values
-        t -= np.einsum("ij,ij->i", t, u.values)[:, None] * u.values
-        self.tau = t
-        self.tau_sq = float(np.einsum("i,ij,ij->", mesh.vertex_areas, t, t))
+        self.energy, self.tau = energy_and_tension(u)
+        self.tau_sq = l2_norm_sq(self.tau, u.mesh)
 
 
 def _normalize_step(vals):
@@ -108,12 +103,9 @@ def _normalize_step(vals):
 
 
 def _semi_implicit_solver(mesh, dt):
-    cache = mesh._cache.setdefault("si_solver", {})
-    if dt not in cache:
-        m = sparse.diags(mesh.vertex_areas)
-        lu = splu((m + dt * mesh.stiffness).tocsc())
-        cache[dt] = lu
-    return cache[dt]
+    """LU factors of M + dt K, one per (mesh, dt)."""
+    return mesh.memo(("si_solver", dt), lambda: splu(
+        (sparse.diags(mesh.vertex_areas) + dt * mesh.stiffness).tocsc()))
 
 
 def _advance(u, state, dt, scheme):
@@ -122,8 +114,9 @@ def _advance(u, state, dt, scheme):
     mesh = u.mesh
     rhs = mesh.vertex_areas[:, None] * u.values
     sol = _semi_implicit_solver(mesh, dt).solve(rhs)
-    sys = sparse.diags(mesh.vertex_areas) + dt * mesh.stiffness
-    resid = np.linalg.norm(sys @ sol - rhs) / np.linalg.norm(rhs)
+    # (M + dt K) sol - rhs, without assembling M + dt K a second time
+    resid = np.linalg.norm(mesh.vertex_areas[:, None] * sol
+                           + dt * (mesh.stiffness @ sol) - rhs) / np.linalg.norm(rhs)
     if resid > SOLVE_RTOL:
         raise SolverError(f"semi-implicit solve residual {resid:.2e} > {SOLVE_RTOL}")
     return SphereMap(mesh, _normalize_step(sol))
@@ -165,22 +158,18 @@ def _ball_membership(mesh, radius):
 
 def _concentration_operator(mesh, radius):
     """(V x E) matrix summing per-edge energies into every radius-ball."""
-    key = ("conc", round(float(radius), 12))
-    if key not in mesh._cache:
+    def build():
         y = _ball_membership(mesh, radius)
         rows_i = y[mesh.edges[:, 0], :]
         rows_j = y[mesh.edges[:, 1], :]
-        mesh._cache[key] = rows_i.multiply(rows_j).T.tocsr()
-    return mesh._cache[key]
+        return rows_i.multiply(rows_j).T.tocsr()
+
+    return mesh.memo(("conc", round(float(radius), 12)), build)
 
 
 def local_energy_profile(u, radius):
     """Local energy in the geodesic `radius` ball around every vertex."""
-    op = _concentration_operator(u.mesh, radius)
-    e = u.mesh.edges
-    d = u.values[e[:, 0]] - u.values[e[:, 1]]
-    q = u.mesh.edge_weights * np.einsum("ij,ij->i", d, d)
-    return 0.5 * (op @ q)
+    return _concentration_operator(u.mesh, radius) @ edge_energies(u)
 
 
 def detect_concentration(u, cfg=None):

@@ -7,7 +7,8 @@ coordinates give point location / interpolation on the curved sphere.
 
 Meshes are immutable once built; derived structures (stiffness matrix, face
 inverses, adjacency) are computed lazily and cached on the instance, which is
-safe because they are pure functions of the construction data.
+safe because they are pure functions of the construction data; `TriMesh.memo`
+holds what other modules derive per mesh.
 """
 
 import math
@@ -85,6 +86,7 @@ class TriMesh:
         faces: (F, 3) outward-oriented vertex index triples.
         edges: (E, 2) sorted vertex index pairs.
         edge_weights: (E,) cotangent weights 0.5*(cot alpha + cot beta).
+        face_cotangents: (F, 3) cotangent of the angle at each local corner.
         vertex_areas: (V,) lumped barycentric areas (one third of incident
             flat-triangle areas); their sum is the polyhedron area.
         mean_edge_length / min_edge_length: chord-length summaries used as
@@ -122,12 +124,13 @@ class TriMesh:
         self.edge_weights = weights
         self.vertex_areas = areas
         self.face_areas = face_areas
+        self.face_cotangents = cots.reshape(3, -1).T
         self.mean_edge_length = float(chord.mean())
         self.min_edge_length = float(chord.min())
         self._edge_face_slot_inv = inv  # face-edge slot -> edge id, len 3F
         self._cache = {}
         for arr in (self.vertices, self.faces, self.edges, self.edge_weights,
-                    self.vertex_areas, self.face_areas):
+                    self.vertex_areas, self.face_areas, self.face_cotangents):
             arr.setflags(write=False)
 
     # --- basic counts -----------------------------------------------------
@@ -147,6 +150,16 @@ class TriMesh:
     def area_deficit(self):
         """4*pi minus the polyhedron area (equals the identity map's energy gap)."""
         return 4.0 * math.pi - float(self.vertex_areas.sum())
+
+    def memo(self, key, build):
+        """The value stored under `key`, built once by calling `build()`.
+
+        Holds what other modules derive per mesh (calibrations, LU factors,
+        concentration operators) for the lifetime of the mesh.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # --- derived operators ------------------------------------------------
     @cached_property

@@ -135,7 +135,7 @@ def conformal_factor(params, x):
     if rho == 0.0:
         out = np.ones(len(pts))
     else:
-        lam = (1.0 + rho) / (1.0 - rho)
+        lam = dilation_factor(params.a)
         c = pts @ (params.a / rho)
         out = 2.0 * lam / ((lam * lam - 1.0) * c + lam * lam + 1.0)
     return float(out[0]) if single else out
@@ -163,7 +163,7 @@ def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
             f"|a| = {rho:.4f} beyond the hard guard {A_NORM_MAX}")
     mesh = u.mesh
     if lambda_h_limit is not None:
-        lam = (1.0 + rho) / (1.0 - rho)
+        lam = dilation_factor(a)
         if lam * mesh.mean_edge_length > lambda_h_limit:
             raise PullbackUnderresolvedError(
                 f"dilation factor {lam:.2f} times mesh scale "

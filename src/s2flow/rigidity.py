@@ -30,14 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import balance
-from .errors import FitFailedError, PreconditionError, S2FlowError, VacuousRegimeError
+from .errors import (FitFailedError, ParameterDomainError, PreconditionError,
+                     S2FlowError, VacuousRegimeError)
 from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
                      l2_dist_sq, l2_norm_sq, mean, tension)
 from .flow import FlowConfig, run_flow
-from .mesh import _cotangents, build_icosphere
+from .mesh import build_icosphere
 from .mobius import (MobiusParams, conformal_factor, params_to_line, pullback,
                      quat_from_matrix, sample)
-from .scenarios import ScenarioSpec, generate
+from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
 # near 0/0: their distance/excess ratio is flagged instead of trusted.
@@ -59,20 +60,14 @@ def energy_deficit(mesh):
     Dirichlet energy of a triangle's affine embedding is twice its area), so
     it scales like h^2 and vanishes under refinement.
     """
-    cached = mesh._cache.get("energy_deficit")
-    if cached is None:
-        cached = FOUR_PI - energy(identity_map(mesh))
-        mesh._cache["energy_deficit"] = cached
-    return cached
+    return mesh.memo("energy_deficit",
+                     lambda: FOUR_PI - energy(identity_map(mesh)))
 
 
 def tension_floor(mesh):
     """L2 tension of the sampled identity: the smallest resolvable tension."""
-    cached = mesh._cache.get("tension_floor")
-    if cached is None:
-        cached = math.sqrt(l2_norm_sq(tension(identity_map(mesh))))
-        mesh._cache["tension_floor"] = cached
-    return cached
+    return mesh.memo("tension_floor",
+                     lambda: math.sqrt(l2_norm_sq(tension(identity_map(mesh)))))
 
 
 def calibrated_excess(u, k=1):
@@ -95,18 +90,13 @@ def default_excess_limit(excess_tension_bound=EXCESS_TENSION_BOUND):
 def sup_gradient(u):
     """Max over faces of |Du| for the piecewise-affine interpolant of u."""
     mesh = u.mesh
-    cots = mesh._cache.get("face_cots")
-    if cots is None:
-        _, raw = _cotangents(mesh.vertices, mesh.faces)
-        cots = raw.reshape(3, -1)
-        mesh._cache["face_cots"] = cots
-    f, vals = mesh.faces, u.values
+    cots, f, vals = mesh.face_cotangents, mesh.faces, u.values
     d0 = vals[f[:, 1]] - vals[f[:, 2]]
     d1 = vals[f[:, 2]] - vals[f[:, 0]]
     d2 = vals[f[:, 0]] - vals[f[:, 1]]
-    per_face = 0.5 * (cots[0] * np.einsum("ij,ij->i", d0, d0)
-                      + cots[1] * np.einsum("ij,ij->i", d1, d1)
-                      + cots[2] * np.einsum("ij,ij->i", d2, d2))
+    per_face = 0.5 * (cots[:, 0] * np.einsum("ij,ij->i", d0, d0)
+                      + cots[:, 1] * np.einsum("ij,ij->i", d1, d1)
+                      + cots[:, 2] * np.einsum("ij,ij->i", d2, d2))
     return math.sqrt(float((per_face / mesh.face_areas).max()))
 
 
@@ -285,14 +275,9 @@ def w12_identity_check(u, m):
     Returns both discretized sides and their relative gap; the gap measures
     how far the mesh is from resolving the harmonicity of v.
     """
-    mesh = u.mesh
-    v = sample(m, mesh)
+    v = sample(m, u.mesh)
     lhs = dirichlet_diff(u, v)
-    diff = u.values - v.values
-    mu = conformal_factor(m, mesh.vertices)
-    cross = float(np.sum(mesh.vertex_areas
-                         * np.einsum("ij,ij->i", diff, diff) * 2.0 * mu * mu))
-    rhs = 2.0 * energy(u) - 2.0 * energy(v) + cross
+    rhs = 2.0 * energy(u) - 2.0 * energy(v) + fit_objective(u, m)
     denom = max(abs(lhs), abs(rhs))
     if denom < 1e-14:
         return W12Identity(lhs=lhs, rhs=rhs, relative_gap=0.0)
@@ -309,7 +294,8 @@ class RigidityReport:
     ratio: float                  # seminorm_dist / excess, nan when degenerate
     excess_tension_ratio: float   # excess / ||tau(u0)||^2
     balance_a: np.ndarray
-    fitted_params: MobiusParams | None
+    fitted_params: MobiusParams
+    fit_converged: bool           # False: fitted_params is FitFailedError.best
     fit_seminorm_dist: float      # same distance against the fitted conformal map
     flow_status: str
     decomposition_residual: float  # relative gap of the seminorm decomposition
@@ -323,8 +309,6 @@ class RigidityReport:
     trace: object
 
     def to_json(self):
-        fitted = (params_to_line(self.fitted_params)
-                  if self.fitted_params is not None else None)
         return json.dumps({
             "balance_a": [float(c) for c in self.balance_a],
             "decomposition_residual": self.decomposition_residual,
@@ -333,8 +317,9 @@ class RigidityReport:
             "excess": self.excess,
             "excess_input": self.excess_input,
             "excess_tension_ratio": self.excess_tension_ratio,
+            "fit_converged": self.fit_converged,
             "fit_seminorm_dist": self.fit_seminorm_dist,
-            "fitted_params": fitted,
+            "fitted_params": params_to_line(self.fitted_params),
             "flow_status": self.flow_status,
             "l2_dist_sq": self.l2_dist_sq,
             "mean_v_norm": self.mean_v_norm,
@@ -377,19 +362,19 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
     tau0_sq = trace.samples[0].tension_sq
     etr = exc / tau0_sq if tau0_sq > 0.0 else float("nan")
 
-    fitted, fit_seminorm, decomposition = None, float("nan"), float("nan")
+    fit_converged = True
     try:
         fitted = fit_mobius(v)
     except FitFailedError as err:
-        fitted = err.best
-    if fitted is not None:
-        fit_seminorm = dirichlet_diff(u0, sample(fitted, mesh))
-        decomposition = w12_identity_check(u0, fitted).relative_gap
+        fitted, fit_converged = err.best, False
+    fit_seminorm = dirichlet_diff(u0, sample(fitted, mesh))
+    decomposition = w12_identity_check(u0, fitted).relative_gap
 
     return RigidityReport(
         excess=exc, seminorm_dist=seminorm, l2_dist_sq=l2_dist_sq(u0, v),
         ratio=ratio, excess_tension_ratio=etr, balance_a=bal.a_star,
-        fitted_params=fitted, fit_seminorm_dist=fit_seminorm,
+        fitted_params=fitted, fit_converged=fit_converged,
+        fit_seminorm_dist=fit_seminorm,
         flow_status=trace.status, decomposition_residual=decomposition,
         mean_v_norm=float(np.linalg.norm(mean(v))), sup_dv=sup_gradient(v),
         degenerate=degenerate, energy_deficit=deficit,
@@ -425,10 +410,8 @@ def _case_id(spec):
     return f"{spec.kind}-L{spec.level}-e{spec.eps:g}-s{spec.seed}"
 
 
-def run_case(spec, mesh=None, flow_cfg=None):
-    """One sweep case; domain errors become a status row, not a raise."""
-    if mesh is None:
-        mesh = build_icosphere(spec.level)
+def run_case(spec, mesh, flow_cfg=None):
+    """One sweep case on `mesh`; domain errors become a status row, not a raise."""
     nan = float("nan")
     try:
         u = generate(spec, mesh)
@@ -447,12 +430,6 @@ def run_case(spec, mesh=None, flow_cfg=None):
                     ax=ax, ay=ay, az=az, mean_v_norm=rep.mean_v_norm,
                     status=rep.flow_status, degenerate=rep.degenerate,
                     sup_dv=rep.sup_dv)
-
-
-def _sweep_worker(payload):
-    spec_json, cfg_fields = payload
-    cfg = FlowConfig(**cfg_fields) if cfg_fields is not None else None
-    return run_case(ScenarioSpec.from_json(spec_json), flow_cfg=cfg)
 
 
 def summarize_sweep(rows):
@@ -493,26 +470,33 @@ def summarize_sweep(rows):
     }
 
 
+def _run_cases(specs, flow_cfg):
+    """Run cases in order, on one mesh per level."""
+    meshes = {level: build_icosphere(level) for level in {s.level for s in specs}}
+    return [run_case(spec, meshes[spec.level], flow_cfg) for spec in specs]
+
+
 def constant_sweep(family, flow_cfg=None, jobs=1):
     """Run the rigidity pipeline across a scenario family.
 
     Cases sharing a level reuse one mesh; per-case domain failures become
-    status rows so a single bad case cannot sink the sweep.  Returns
-    (rows, summary).
+    status rows so a single bad case cannot sink the sweep.  With jobs > 1,
+    worker i runs the interleaved slice family[i::workers] (so each worker
+    builds each level's mesh once) and rows come back in family order.
+    Returns (rows, summary).
     """
+    if jobs < 1:
+        raise ParameterDomainError(f"jobs must be at least 1, got {jobs}")
     family = list(family)
-    if jobs > 1:
-        cfg_fields = None if flow_cfg is None else vars(flow_cfg).copy()
-        payload = [(spec.to_json(), cfg_fields) for spec in family]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payload))
+    workers = min(jobs, len(family))
+    if workers <= 1:
+        rows = _run_cases(family, flow_cfg)
     else:
-        meshes = {}
-        rows = []
-        for spec in family:
-            if spec.level not in meshes:
-                meshes[spec.level] = build_icosphere(spec.level)
-            rows.append(run_case(spec, meshes[spec.level], flow_cfg))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_cases,
+                                   [family[i::workers] for i in range(workers)],
+                                   [flow_cfg] * workers))
+        rows = [chunks[k % workers][k // workers] for k in range(len(family))]
     return rows, summarize_sweep(rows)
 
 

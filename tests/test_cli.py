@@ -123,6 +123,12 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_sweep_rejects_zero_jobs(capsys):
+    rc, _, err = run_cli(capsys, "sweep", "--level", "2", "--jobs", "0")
+    assert rc == 1
+    assert "jobs" in err
+
+
 def test_config_file_fills_unset_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level": 2}))

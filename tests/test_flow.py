@@ -6,10 +6,10 @@ import pytest
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
                            ParameterDomainError)
 from s2flow.fields import (FOUR_PI, energy, identity_map, l2_dist_sq,
-                           l2_norm_sq, tension)
+                           l2_norm_sq, local_energy, tension)
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
                          default_dt, detect_concentration, flow_certificates,
-                         run_flow, step, write_trace_csv)
+                         local_energy_profile, run_flow, step, write_trace_csv)
 from s2flow.mobius import MobiusParams, sample
 from s2flow.rigidity import default_flow_config, tension_floor
 from s2flow.scenarios import ScenarioSpec, generate
@@ -80,6 +80,9 @@ def test_run_flow_converges_and_certificates_hold(mesh_l4, scheme):
     v, trace = run_flow(u0, cfg)
     assert trace.status == "Converged"
     assert trace.samples[0].t == 0.0
+    # the flow state and the public fields share one kernel
+    assert trace.samples[0].energy == energy(u0)
+    assert trace.samples[0].tension_sq == l2_norm_sq(tension(u0))
     energies = [s.energy for s in trace.samples]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
     assert all(s.degree == 1 for s in trace.samples)
@@ -118,6 +121,20 @@ def test_concentrated_start_is_detected_as_singular(mesh_l4):
     assert trace.status == "SingularityDetected"
     degs = [s.degree for s in trace.samples]
     assert degs[0] == 1 and degs[-1] != 1
+
+
+def test_local_energy_matches_profile(mesh_l3):
+    u = perturbed(mesh_l3, eps=0.2, seed=4)
+    verts = mesh_l3.vertices
+    for radius in (0.3, 0.7, 1.3):
+        prof = local_energy_profile(u, radius)
+        for k in (0, 17, 200, 641):
+            # the two membership tests differ only within 1e-12 of the
+            # boundary; these radii keep every vertex clear of it
+            gap = np.abs(verts @ verts[k] - math.cos(radius)).min()
+            assert gap > 1e-9
+            assert local_energy(u, verts[k], radius) == pytest.approx(
+                prof[k], rel=1e-12)
 
 
 def test_detect_concentration_threshold(mesh_l4):

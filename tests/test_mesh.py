@@ -33,6 +33,21 @@ def test_positive_weights_and_areas(mesh_l4):
     assert abs(mesh_l4.vertex_areas.sum() - mesh_l4.face_areas.sum()) < 1e-12
 
 
+def test_face_cotangents_sum_to_edge_weights(mesh_l3):
+    cots = mesh_l3.face_cotangents
+    assert cots.shape == (mesh_l3.n_faces, 3) and not cots.flags.writeable
+    # corner k faces the edge between the other two corners; each edge
+    # weight is half the sum of the two cotangents facing it
+    f = mesh_l3.faces
+    opposite = np.sort(np.concatenate([f[:, (1, 2)], f[:, (2, 0)], f[:, (0, 1)]]),
+                       axis=1)
+    weights = {}
+    for (i, j), c in zip(opposite.tolist(), cots.T.ravel()):
+        weights[i, j] = weights.get((i, j), 0.0) + 0.5 * c
+    expected = [weights[i, j] for i, j in mesh_l3.edges.tolist()]
+    assert np.allclose(expected, mesh_l3.edge_weights, rtol=1e-12, atol=0.0)
+
+
 def test_area_deficit_values_and_rate():
     # frozen from the builder itself; the deficit must shrink ~4x per level
     expected = {3: 0.059877880389, 4: 0.015016734263, 5: 0.003757146301}

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from s2flow.errors import PreconditionError, VacuousRegimeError
+from s2flow import rigidity
+from s2flow.errors import (FitFailedError, ParameterDomainError,
+                           PreconditionError, VacuousRegimeError)
 from s2flow.fields import (FOUR_PI, SphereMap, constant_map, degree, energy,
                            identity_map)
 from s2flow.mobius import MobiusParams, pullback, sample
@@ -35,9 +37,10 @@ def test_energy_deficit_equals_area_deficit(mesh_l4):
 
 
 def test_energy_deficit_cached(mesh_l4):
-    assert energy_deficit(mesh_l4) is energy_deficit(mesh_l4) or \
-        energy_deficit(mesh_l4) == energy_deficit(mesh_l4)
-    assert "energy_deficit" in mesh_l4._cache
+    first = energy_deficit(mesh_l4)
+    # the memo hands back the stored value without calling the builder
+    assert mesh_l4.memo("energy_deficit", lambda: pytest.fail("rebuilt")) == first
+    assert energy_deficit(mesh_l4) == first
 
 
 def test_calibrated_excess_of_identity_is_zero(mesh_l4):
@@ -223,11 +226,27 @@ def test_verify_perturbed_case(mesh_l5):
     assert 1.0 < rep.ratio < 10.0
     assert rep.mean_v_norm <= 0.5
     assert rep.fitted_params is not None
+    assert rep.fit_converged
     assert rep.fit_seminorm_dist >= 0.0
     assert rep.decomposition_residual < 0.05
     d = json.loads(rep.to_json())
     assert d["ratio"] == rep.ratio
     assert d["fitted_params"].startswith("mobius ")
+    assert d["fit_converged"] is True
+
+
+def test_verify_reports_failed_fit(mesh_l3, monkeypatch):
+    best = MobiusParams(BASE.quat, np.zeros(3))
+
+    def stalled_fit(u):
+        raise FitFailedError("stalled", best=best)
+
+    monkeypatch.setattr(rigidity, "fit_mobius", stalled_fit)
+    rep = verify_rigidity(perturbed(mesh_l3, eps=0.1, seed=0))
+    assert not rep.fit_converged
+    assert rep.fitted_params is best
+    assert rep.fit_seminorm_dist >= 0.0
+    assert json.loads(rep.to_json())["fit_converged"] is False
 
 
 def test_verify_invariant_under_precomposition(mesh_l4):
@@ -302,6 +321,52 @@ def test_sweep_deterministic_and_parallel_agree(tmp_path):
     lines = blobs[0].decode().strip().split("\n")
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 1 + len(rows_a)
+
+
+def test_sweep_parallel_rows_in_family_order(tmp_path):
+    # two levels interleaved, so every worker slice mixes levels and the
+    # rows must be put back from several slices of unequal length
+    fam = [ScenarioSpec(kind="perturbed_mobius", level=level, seed=s, eps=0.1)
+           for s, level in enumerate((3, 2, 3, 2, 3))]
+    blobs = []
+    for jobs in (1, 2, 3):
+        rows, summary = constant_sweep(fam, jobs=jobs)
+        assert [r.case_id for r in rows] == [
+            f"perturbed_mobius-L{s.level}-e0.1-s{s.seed}" for s in fam]
+        csv, summ = tmp_path / f"{jobs}.csv", tmp_path / f"{jobs}.json"
+        write_sweep_csv(rows, csv)
+        write_sweep_summary(summary, summ)
+        blobs.append((csv.read_bytes(), summ.read_bytes()))
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert summary["levels"] == [2, 3]
+
+
+def test_sweep_worker_count_and_jobs_check(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(rigidity, "ProcessPoolExecutor", SerialPool)
+    with pytest.raises(ParameterDomainError):
+        constant_sweep(small_family(), jobs=0)
+    rows, summary = constant_sweep([], jobs=4)
+    assert rows == [] and summary["n_cases"] == 0
+    assert started == []
+    rows, _ = constant_sweep(small_family(), jobs=8)
+    assert started == [2]
+    assert [r.case_id for r in rows] == ["perturbed_mobius-L3-e0.1-s0",
+                                         "perturbed_mobius-L3-e0.1-s1"]
 
 
 def test_sweep_summary_json(tmp_path):

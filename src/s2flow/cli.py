@@ -12,9 +12,10 @@ pipeline to files:
     s2flow mesh-info --level 5
 
 Every subcommand accepts --config pointing at a JSON object whose keys match
-the long flag names (dashes as underscores); explicit flags override config
-values.  Output is deterministic: fixed seeds in, identical bytes out.  Exit
-codes: 0 success, 1 domain error, 2 usage error.
+the long flag names (dashes as underscores; `inp` for --in); explicit flags
+override config values, and a key naming no option of the subcommand is a
+usage error.  Output is deterministic: fixed seeds in, identical bytes out.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -48,15 +49,24 @@ def _print_json(obj, path=None):
     sys.stdout.write(text)
 
 
-def _apply_config(args):
-    """Fill unset (None) argument values from the --config JSON file."""
+def _apply_config(args, parser):
+    """Fill unset (None) argument values from the --config JSON file.
+
+    A key that names no option of the subcommand is a usage error.
+    """
     if getattr(args, "config", None) is None:
         return args
     with open(args.config, encoding="utf-8") as fh:
         table = json.load(fh)
+    if not isinstance(table, dict):
+        parser.error(f"--config {args.config} must hold a JSON object")
+    known = sorted(set(vars(args)) - {"command", "func"})
     for key, value in table.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
+        if attr not in known:
+            parser.error(f"unknown --config key {key!r} for {args.command}; "
+                         f"expected one of {', '.join(known)}")
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
 
@@ -289,7 +299,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, parser)
         return args.func(args)
     except S2FlowError as err:
         sys.stderr.write(f"error: {err}\n")

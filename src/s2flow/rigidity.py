@@ -18,6 +18,10 @@ to a small multiple of that floor, because below it the dynamics is pure
 discretization drift (the discrete energy of the conformal family decreases
 with the dilation, so an absolute threshold under the floor never triggers
 and the map eventually slides to concentration and collapses to a constant).
+
+The flow limit is also compared with its nearest conformal map (fit_mobius):
+a Levenberg-Marquardt least-squares fit of the gradient-weighted misfit.
+fit_residuals is the residual vector and fit_objective its squared norm.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
                      l2_dist_sq, l2_norm_sq, mean, tension)
 from .flow import FlowConfig, run_flow
 from .mesh import build_icosphere
-from .mobius import (MobiusParams, conformal_factor, params_to_line, pullback,
-                     quat_from_matrix, sample)
+from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
+                     params_to_line, pullback, quat_from_matrix, sample)
 from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
@@ -135,10 +139,6 @@ def excess_tension_probe(u):
 
 # --- conformal fit ------------------------------------------------------------
 
-_FIT_GRAD_STEP = 1e-5
-_FIT_A_CAP = 0.98
-
-
 def _quat_mul(p, q):
     pw, px, py, pz = p
     qw, qx, qy, qz = q
@@ -156,97 +156,64 @@ def _procrustes_quat(mesh, values):
     return quat_from_matrix(r)
 
 
+def fit_residuals(u, params):
+    """Flattened residual sqrt(2 A_i) mu_i (u_i - v_i) for v = sample(params).
+
+    Its squared norm is fit_objective; 2*mu^2 is the Dirichlet density of v.
+    """
+    mesh = u.mesh
+    diff = u.values - sample(params, mesh).values
+    w = np.sqrt(2.0 * mesh.vertex_areas) * conformal_factor(params, mesh.vertices)
+    return (w[:, None] * diff).ravel()
+
+
 def fit_objective(u, params):
     """Weighted misfit sum_i A_i |u_i - v_i|^2 * 2*mu_i^2 for v = sample(params).
 
     Because the conformal family has constant Dirichlet energy, minimizing
     the seminorm distance to the family reduces to minimizing this quantity
-    (the gradient-weighted L2 misfit); 2*mu^2 is the Dirichlet density of v.
+    (the gradient-weighted L2 misfit).
     """
-    mesh = u.mesh
-    diff = u.values - sample(params, mesh).values
-    mu = conformal_factor(params, mesh.vertices)
-    return float(np.sum(mesh.vertex_areas
-                        * np.einsum("ij,ij->i", diff, diff) * 2.0 * mu * mu))
+    r = fit_residuals(u, params)
+    return float(r @ r)
 
 
 def _params_from_x(x):
-    a = x[4:]
-    rho = float(np.linalg.norm(a))
-    if rho > _FIT_A_CAP:
-        a = a * (_FIT_A_CAP / rho)
-    return MobiusParams(x[:4], a)
+    """Solver chart: unnormalized quaternion, and b in R^3 mapped into the ball."""
+    b = x[4:]
+    return MobiusParams(x[:4], A_NORM_MAX * b / math.sqrt(1.0 + float(b @ b)))
 
 
-def _project_x(x):
-    x = x.copy()
-    x[:4] /= np.linalg.norm(x[:4])
-    rho = float(np.linalg.norm(x[4:]))
-    if rho > _FIT_A_CAP:
-        x[4:] *= _FIT_A_CAP / rho
-    return x
+def fit_mobius(u):
+    """Best conformal approximation of u by least squares on fit_residuals.
 
-
-def _fit_descent(u, x0, max_iter):
-    """Projected gradient descent with numeric central-difference gradients.
-
-    Converged means the gradient norm fell to 1e-5 * (1 + objective), which
-    doubles as the optimality certificate of the returned parameters.
+    Levenberg-Marquardt (scipy.optimize.least_squares) from the area-weighted
+    Procrustes rotation with a = 0.  A start is certified when the solver
+    converged and the misfit gradient norm is at most 1e-5 * (1 + misfit).
+    Only when the first start is not certified are three more tried, rotated
+    a quarter turn about each coordinate axis; the best certified one wins.
+    Raises FitFailedError (carrying the best parameters seen) when no start
+    is certified.
     """
-    def g_of(x):
-        return fit_objective(u, _params_from_x(x))
+    # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
+    from scipy.optimize import least_squares
 
-    x = _project_x(np.asarray(x0, dtype=float))
-    g = g_of(x)
-    lr = 1.0
-    for _ in range(max_iter):
-        grad = np.empty(7)
-        for i in range(7):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += _FIT_GRAD_STEP
-            xm[i] -= _FIT_GRAD_STEP
-            grad[i] = (g_of(xp) - g_of(xm)) / (2.0 * _FIT_GRAD_STEP)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-5 * (1.0 + g):
-            return _params_from_x(x), g, True
-        moved = False
-        for _ in range(40):
-            xn = _project_x(x - lr * grad)
-            gn = g_of(xn)
-            if gn <= g - 0.25 * lr * gnorm * gnorm:
-                x, g = xn, gn
-                lr = min(lr * 1.5, 1e3)
-                moved = True
-                break
-            lr *= 0.5
-        if not moved:
-            # line search exhausted: flat to roundoff along the gradient
-            return _params_from_x(x), g, gnorm <= 1e-5 * (1.0 + g)
-    return _params_from_x(x), g, False
+    def solve(quat):
+        res = least_squares(lambda x: fit_residuals(u, _params_from_x(x)),
+                            np.concatenate([quat, np.zeros(3)]), method="lm")
+        misfit = 2.0 * res.cost
+        grad_norm = 2.0 * float(np.linalg.norm(res.grad))
+        ok = res.status > 0 and grad_norm <= 1e-5 * (1.0 + misfit)
+        return _params_from_x(res.x), misfit, ok
 
-
-def fit_mobius(u, init=None, max_iter=400):
-    """Best conformal approximation of u by local minimization of fit_objective.
-
-    Starts from (area-weighted Procrustes rotation, a = 0) unless an init is
-    given; if the first descent fails to converge or to at least halve its
-    starting misfit, three extra starts rotated a quarter turn about each
-    coordinate axis are tried and the best kept.  Raises FitFailedError
-    (carrying the best parameters seen) when no start converges.
-    """
-    if init is None:
-        init = MobiusParams(_procrustes_quat(u.mesh, u.values), np.zeros(3))
-    x0 = np.concatenate([init.quat, init.a])
-    g_init = fit_objective(u, init)
-    best, best_g, ok = _fit_descent(u, x0, max_iter)
-    if not ok or best_g > 0.5 * g_init:
+    q0 = _procrustes_quat(u.mesh, u.values)
+    fits = [solve(q0)]
+    if not fits[0][2]:
         half = math.sqrt(0.5)
-        for axis in np.eye(3):
-            seed_q = _quat_mul(np.concatenate([[half], half * axis]), init.quat)
-            cand, cand_g, cand_ok = _fit_descent(
-                u, np.concatenate([seed_q, init.a]), max_iter)
-            if cand_g < best_g:
-                best, best_g, ok = cand, cand_g, cand_ok
+        fits += [solve(_quat_mul(np.concatenate([[half], half * axis]), q0))
+                 for axis in np.eye(3)]
+    # lowest misfit among the certified starts, else among all of them
+    best, best_g, ok = min(fits, key=lambda f: (not f[2], f[1]))
     if not ok:
         raise FitFailedError(
             f"conformal fit stalled at misfit {best_g:.6g} without meeting "

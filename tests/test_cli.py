@@ -140,3 +140,19 @@ def test_config_file_fills_unset_flags(tmp_path, capsys):
                          "--level", "3")
     assert rc == 0
     assert last_json(out)["level"] == 3
+
+
+def test_config_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levle": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-info", "--config", str(cfg)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "levle" in out.err
+    assert out.out == ""
+    cfg.write_text(json.dumps([3]))
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-info", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "JSON object" in capsys.readouterr().err

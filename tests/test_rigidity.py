@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 
 from s2flow import rigidity
@@ -10,14 +12,15 @@ from s2flow.errors import (FitFailedError, ParameterDomainError,
                            PreconditionError, VacuousRegimeError)
 from s2flow.fields import (FOUR_PI, SphereMap, constant_map, degree, energy,
                            identity_map)
-from s2flow.mobius import MobiusParams, pullback, sample
+from s2flow.mobius import MobiusParams, conformal_factor, pullback, sample
 from s2flow.rigidity import (DEGENERATE_FACTOR, SWEEP_HEADER, calibrated_excess,
                              constant_sweep, default_excess_limit,
                              default_flow_config, energy_deficit,
                              excess_tension_probe, fit_mobius, fit_objective,
-                             run_case, summarize_sweep, sup_gradient,
-                             tension_floor, verify_rigidity, w12_identity_check,
-                             write_sweep_csv, write_sweep_summary)
+                             fit_residuals, run_case, summarize_sweep,
+                             sup_gradient, tension_floor, verify_rigidity,
+                             w12_identity_check, write_sweep_csv,
+                             write_sweep_summary)
 from s2flow.scenarios import ScenarioSpec, generate, standard_family
 
 BASE = MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, -0.15, 0.2]))
@@ -147,12 +150,20 @@ def test_probe_rejects_large_excess(mesh_l3):
 
 # --- conformal fit -----------------------------------------------------------
 
-def test_fit_recovers_exact_sample(mesh_l4):
-    u = sample(BASE, mesh_l4)
+@pytest.mark.parametrize("params", [
+    BASE,
+    # strong dilations, |a| of 0.88, 0.85 and 0.9; the last one is not
+    # certified from the Procrustes start and goes through the restarts
+    MobiusParams([0.9, 0.1, -0.2, 0.3], [-0.5, 0.6, -0.4]),
+    MobiusParams([0, 0, 1, 0], [0.6, 0, 0.6]),
+    MobiusParams([1, 0, 0, 0], [0, 0, 0.9]),
+], ids=["base", "strong-a-0.88", "strong-a-0.85", "strong-a-0.9"])
+def test_fit_recovers_exact_sample(mesh_l4, params):
+    u = sample(params, mesh_l4)
     f = fit_mobius(u)
-    assert np.linalg.norm(f.a - BASE.a) < 1e-3
-    assert min(np.linalg.norm(f.quat - BASE.quat),
-               np.linalg.norm(f.quat + BASE.quat)) < 1e-3
+    assert np.linalg.norm(f.a - params.a) < 1e-3
+    assert min(np.linalg.norm(f.quat - params.quat),
+               np.linalg.norm(f.quat + params.quat)) < 1e-3
     assert fit_objective(u, f) < 1e-8
 
 
@@ -167,6 +178,31 @@ def test_fit_beats_the_generating_parameters(mesh_l4):
     u = perturbed(mesh_l4, eps=0.1, seed=0, mobius=BASE)
     f = fit_mobius(u)
     assert fit_objective(u, f) <= fit_objective(u, BASE) + 1e-6
+
+
+def test_fit_failure_carries_best_parameters(mesh_l3, monkeypatch):
+    # a one-evaluation budget per solve: no start can be certified
+    monkeypatch.setattr(scipy.optimize, "least_squares",
+                        functools.partial(scipy.optimize.least_squares,
+                                          max_nfev=1))
+    u = perturbed(mesh_l3, eps=0.1, seed=0, mobius=BASE)
+    with pytest.raises(FitFailedError) as exc:
+        fit_mobius(u)
+    best = exc.value.best
+    assert isinstance(best, MobiusParams)
+    start = MobiusParams(rigidity._procrustes_quat(mesh_l3, u.values), np.zeros(3))
+    assert fit_objective(u, best) <= fit_objective(u, start)
+
+
+def test_fit_objective_is_the_weighted_misfit(mesh_l3):
+    # the squared residual norm equals sum_i A_i |u_i - v_i|^2 * 2 mu_i^2
+    u = perturbed(mesh_l3, eps=0.1, seed=0)
+    diff = u.values - sample(BASE, mesh_l3).values
+    mu = conformal_factor(BASE, mesh_l3.vertices)
+    expected = np.sum(mesh_l3.vertex_areas * np.sum(diff * diff, axis=1)
+                      * 2.0 * mu * mu)
+    assert fit_residuals(u, BASE).shape == (3 * mesh_l3.n_vertices,)
+    assert fit_objective(u, BASE) == pytest.approx(expected, rel=1e-12)
 
 
 # --- seminorm decomposition ---------------------------------------------------

@@ -1,0 +1,42 @@
+"""Smoke tests: each script in scripts/ runs end to end at small sizes."""
+
+import importlib.util
+import pathlib
+
+from s2flow.flow import TRACE_HEADER
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibration_table(capsys):
+    assert load_script("calibration_table").main(["--levels", "2,3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].split()[:2] == ["L", "verts"]
+    assert [line.split()[0] for line in lines[1:]] == ["2", "3"]
+
+
+def test_run_sweep(tmp_path, capsys):
+    rc = load_script("run_sweep").main(
+        ["--levels", "2,3", "--seeds-per-eps", "1", "--jobs", "2",
+         "--outdir", str(tmp_path)])
+    assert rc == 0
+    for name in ("sweep_L2.csv", "summary_L2.json",
+                 "sweep_L3.csv", "summary_L3.json"):
+        assert (tmp_path / name).is_file()
+    assert "ratio_max drift L2 -> L3" in capsys.readouterr().out
+
+
+def test_singularity_demo(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    rc = load_script("singularity_demo").main(
+        ["--level", "3", "--trace", str(trace)])
+    assert rc == 0
+    assert trace.read_text().split("\n")[0] == TRACE_HEADER
+    assert "status:" in capsys.readouterr().out

@@ -1,10 +1,14 @@
 """Center-of-mass balancing by pre-composition with axial dilations.
 
 For a degree-one map u the functional Phi(a) = mean(u o phi_a) is onto a
-neighborhood of zero, so a damped Newton iteration (finite-difference
-Jacobian) finds a parameter a* with |Phi(a*)| below tolerance.  The balanced
-representative u o phi_{a*} is the right starting point for the flow: its
-center of mass stays small, which is what rules out concentration.
+neighborhood of zero, so a damped Newton iteration finds a parameter a* with
+|Phi(a*)| below tolerance.  The Jacobian is the exact derivative of the
+discrete functional: the area-weighted mean of the chain rule
+du/dp . dphi_a/da over the located pullback (mobius.pullback_jet), so each
+Newton step costs one located pullback, warm-started from the faces of the
+last accepted iterate.  The balanced representative u o phi_{a*} is the
+right starting point for the flow: its center of mass stays small, which is
+what rules out concentration.
 """
 
 from dataclasses import dataclass, field
@@ -12,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BalanceFailedError, PreconditionError
-from .fields import degree, mean
-from .mobius import max_pullback_radius, pullback
+from .fields import SphereMap, degree, mean
+from .mobius import max_pullback_radius, pullback, pullback_jet
 
-FD_STEP = 1e-4
 MAX_HALVINGS = 8
 
 # symmetric restart seeds tried when the default start stagnates
@@ -27,12 +30,20 @@ class BalanceResult:
     a_star: np.ndarray
     residual: float
     iterations: int
+    balanced: SphereMap           # u o phi_{a_star}
     path: list = field(default_factory=list)
 
 
 def center_functional(u, a):
     """Phi(a) = area-weighted mean of u composed with the dilation phi_a."""
     return mean(pullback(u, a))
+
+
+def _center_jet(u, a, starts=None):
+    """(Phi(a), dPhi/da, u o phi_a, located faces) from one located pullback."""
+    v, faces, dv_da = pullback_jet(u, a, starts)
+    areas = u.mesh.vertex_areas
+    return mean(v), np.einsum("n,nij->ij", areas, dv_da) / areas.sum(), v, faces
 
 
 def _project_ball(a, a_max):
@@ -45,42 +56,35 @@ def _project_ball(a, a_max):
 def balance(u, tol=1e-6, max_iter=60):
     """Find a* with |center_functional(u, a*)| <= tol.
 
-    Damped Newton with a forward-difference Jacobian; iterates stay inside
-    the pullback resolution guard.  On stagnation the iteration restarts from
-    a small set of symmetric seeds (origin first, so among nearby roots the
-    small-|a| one is preferred).  Raises BalanceFailedError carrying the best
-    iterate if the budget runs out.
+    Damped Newton on the exact Jacobian of the discrete functional; iterates
+    stay inside the pullback resolution guard, and every point location
+    starts from the faces of the last accepted iterate.  On stagnation the
+    iteration restarts from a small set of symmetric seeds (origin first, so
+    among nearby roots the small-|a| one is preferred).  The result carries
+    the balanced map u o phi_{a*}.  Raises BalanceFailedError carrying the
+    best iterate if the budget runs out.
     """
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
     a_max = max_pullback_radius(u.mesh)
     path = []
-    best_a, best_res = np.zeros(3), float("inf")
+    best_a, best_res, best_v = np.zeros(3), float("inf"), None
     iters = 0
+    faces = None
 
     for seed in _SEEDS:
         a = _project_ball(np.asarray(seed, dtype=float), a_max)
-        phi = center_functional(u, a)
+        phi, jac, v, faces = _center_jet(u, a, faces)
         res = float(np.linalg.norm(phi))
         path.append(a.copy())
         if res < best_res:
-            best_a, best_res = a.copy(), res
+            best_a, best_res, best_v = a.copy(), res, v
         stagnated = False
         while iters < max_iter and not stagnated:
             if res <= tol:
-                return BalanceResult(a_star=a, residual=res,
-                                     iterations=iters, path=path)
+                return BalanceResult(a_star=a, residual=res, iterations=iters,
+                                     balanced=v, path=path)
             iters += 1
-            jac = np.empty((3, 3))
-            for k in range(3):
-                step = np.zeros(3)
-                step[k] = FD_STEP
-                probe = a + step
-                if np.linalg.norm(probe) >= a_max:  # difference inward instead
-                    probe = a - step
-                    jac[:, k] = (phi - center_functional(u, probe)) / FD_STEP
-                else:
-                    jac[:, k] = (center_functional(u, probe) - phi) / FD_STEP
             try:
                 d = np.linalg.solve(jac, -phi)
             except np.linalg.LinAlgError:
@@ -88,24 +92,26 @@ def balance(u, tol=1e-6, max_iter=60):
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 cand = _project_ball(a + scale * d, a_max)
-                cand_phi = center_functional(u, cand)
-                cand_res = float(np.linalg.norm(cand_phi))
+                jet = _center_jet(u, cand, faces)
+                cand_res = float(np.linalg.norm(jet[0]))
                 if cand_res < res:
-                    a, phi, res = cand, cand_phi, cand_res
+                    a, res = cand, cand_res
+                    phi, jac, v, faces = jet
                     path.append(a.copy())
                     if res < best_res:
-                        best_a, best_res = a.copy(), res
+                        best_a, best_res, best_v = a.copy(), res, v
                     break
                 scale *= 0.5
             else:
                 stagnated = True  # no decrease at any step length: reseed
         if res <= tol:
-            return BalanceResult(a_star=a, residual=res, iterations=iters, path=path)
+            return BalanceResult(a_star=a, residual=res, iterations=iters,
+                                 balanced=v, path=path)
         if iters >= max_iter:
             break
 
     raise BalanceFailedError(
         f"no parameter with |Phi| <= {tol:g} found in {iters} iterations "
         f"(best residual {best_res:.3e})",
-        best=BalanceResult(a_star=best_a, residual=best_res,
-                           iterations=iters, path=path))
+        best=BalanceResult(a_star=best_a, residual=best_res, iterations=iters,
+                           balanced=best_v, path=path))

@@ -13,9 +13,10 @@ pipeline to files:
 
 Every subcommand accepts --config pointing at a JSON object whose keys match
 the long flag names (dashes as underscores; `inp` for --in); explicit flags
-override config values, and a key naming no option of the subcommand is a
-usage error.  Output is deterministic: fixed seeds in, identical bytes out.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+override config values.  Config values are converted and checked like flag
+text (type and choices); a key naming no option of the subcommand, or a value
+the option refuses, is a usage error.  Output is deterministic: fixed seeds
+in, identical bytes out.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -49,10 +50,35 @@ def _print_json(obj, path=None):
     sys.stdout.write(text)
 
 
+def _config_value(key, value, action, parser):
+    """A --config value converted and checked as its flag's text would be."""
+    kind = action.type
+    if isinstance(value, str):
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
+                parser.error(f"--config key {key!r}: invalid value {value!r} ({err})")
+    else:
+        allowed = {int: (int,), float: (int, float)}.get(kind, ())
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            wanted = {int: "an integer", float: "a number"}.get(kind, "a string")
+            parser.error(f"--config key {key!r}: expected {wanted}, got {value!r}")
+        value = kind(value)
+    if action.choices is not None and value not in action.choices:
+        parser.error(f"--config key {key!r}: {value!r} is not one of "
+                     f"{', '.join(map(str, action.choices))}")
+    return value
+
+
 def _apply_config(args, parser):
     """Fill unset (None) argument values from the --config JSON file.
 
-    A key that names no option of the subcommand is a usage error.
+    `parser` is the subcommand's parser.  Values go through the option's
+    `type` and `choices` like command-line text; a string is converted by the
+    type, any other JSON value must already be an integer (int options) or a
+    number (float options).  A key that names no option of the subcommand,
+    or a value the option refuses, is a usage error.
     """
     if getattr(args, "config", None) is None:
         return args
@@ -61,11 +87,13 @@ def _apply_config(args, parser):
     if not isinstance(table, dict):
         parser.error(f"--config {args.config} must hold a JSON object")
     known = sorted(set(vars(args)) - {"command", "func"})
+    actions = {action.dest: action for action in parser._actions}
     for key, value in table.items():
         attr = key.replace("-", "_")
         if attr not in known:
             parser.error(f"unknown --config key {key!r} for {args.command}; "
                          f"expected one of {', '.join(known)}")
+        value = _config_value(key, value, actions[attr], parser)
         if getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
@@ -224,6 +252,7 @@ def cmd_mesh_info(args):
 
 
 def _build_parser():
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="s2flow",
         description="Numerical laboratory for the harmonic map heat flow "
@@ -292,14 +321,14 @@ def _build_parser():
     nfo.add_argument("--config")
     nfo.set_defaults(func=cmd_mesh_info)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
+        args = _apply_config(args, commands[args.command])
         return args.func(args)
     except S2FlowError as err:
         sys.stderr.write(f"error: {err}\n")

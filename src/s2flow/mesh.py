@@ -324,17 +324,43 @@ def locate(mesh, p, hint=None):
     return int(face[0]), bary[0]
 
 
-def interpolate_batch(mesh, field, points, starts=None):
-    """Barycentric interpolation of a unit-vector field, renormalized."""
-    face, bary = locate_batch(mesh, points, starts)
-    w = bary / bary.sum(axis=1, keepdims=True)
-    vals = np.einsum("nk,nkc->nc", w, field[mesh.faces[face]])
+def _unit_blend(vals):
+    """Rows of `vals` normalized, and their lengths; refuses near-zero blends."""
     norms = np.linalg.norm(vals, axis=1)
     if norms.min() < 1e-6:
         raise InterpolationDegenerateError(
             "interpolated value shorter than 1e-6; values nearly antipodal "
             "across one face (map unresolved at this level)")
-    return vals / norms[:, None]
+    return vals / norms[:, None], norms
+
+
+def interpolate_batch(mesh, field, points, starts=None):
+    """Barycentric interpolation of a unit-vector field, renormalized."""
+    face, bary = locate_batch(mesh, points, starts)
+    w = bary / bary.sum(axis=1, keepdims=True)
+    return _unit_blend(np.einsum("nk,nkc->nc", w, field[mesh.faces[face]]))[0]
+
+
+def interpolate_jet(mesh, field, points, starts=None):
+    """Values of `interpolate_batch`, the located faces, and d value / d point.
+
+    Returns (values (n, 3), faces (n,), dvalues_dpoint (n, 3, 3)).  With
+    b = inv_f p, w = b / sum(b) and s = sum_k w_k u_k over the corners of the
+    located face f, the value is v = s / |s| and its derivative in p is
+        (I - v v^T) / |s| . U_f . dw/dp,   dw/dp = (I - w 1^T) inv_f / sum(b),
+    U_f holding the corner values as columns.  `starts` seeds the walks, as
+    in `locate_batch`.
+    """
+    face, bary = locate_batch(mesh, points, starts)
+    total = bary.sum(axis=1, keepdims=True)
+    w = bary / total
+    corners = field[mesh.faces[face]]
+    vals, norms = _unit_blend(np.einsum("nk,nkc->nc", w, corners))
+    inv = mesh._face_basis_inv[face]
+    dw = (inv - w[:, :, None] * inv.sum(axis=1, keepdims=True)) / total[:, :, None]
+    ds = np.einsum("nkc,nkj->ncj", corners, dw)
+    ds -= vals[:, :, None] * np.einsum("nc,ncj->nj", vals, ds)[:, None, :]
+    return vals, face, ds / norms[:, None, None]
 
 
 def locate_and_interpolate(mesh, field, p, hint=None):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FileFormatError, ParameterDomainError, PullbackUnderresolvedError
 from .fields import SphereMap
-from .mesh import interpolate_batch
+from .mesh import interpolate_batch, interpolate_jet
 
 # beyond this the family is numerically degenerate no matter the mesh
 A_NORM_MAX = 0.99
@@ -115,6 +115,26 @@ def eval_phi(a, x):
     return out[0] if single else out
 
 
+def eval_phi_jacobian(a, x):
+    """Derivative of phi_a(x) in a: [..., i, j] = d phi_i / d a_j.
+
+    Differentiating the closed form of eval_phi with D = |x + a|^2,
+        d phi / da = [2(1 + <a,x>) I + 2 a x^T - 2 x a^T - 2 phi (x + a)^T] / D,
+    which is 2(I - x x^T) at a = 0.  Shape (3, 3) for one point, else (n, 3, 3).
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = np.atleast_2d(x)
+    phi = np.atleast_2d(eval_phi(a, pts))
+    ax = pts @ a
+    jac = (2.0 * (1.0 + ax))[:, None, None] * np.eye(3)
+    jac += 2.0 * (a[None, :, None] * pts[:, None, :] - pts[:, :, None] * a[None, None, :])
+    jac -= 2.0 * phi[:, :, None] * (pts + a)[:, None, :]
+    jac /= (1.0 + 2.0 * ax + float(a @ a))[:, None, None]
+    return jac[0] if single else jac
+
+
 def eval_mobius(params, x):
     """Rotation applied after the axial dilation."""
     return eval_phi(params.a, x) @ params.rotation.T
@@ -148,20 +168,17 @@ def sample(params, mesh):
     return SphereMap(mesh, vals)
 
 
-def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
-    """The map u composed with phi_a, interpolated back onto u's mesh.
+def _check_pullback(mesh, a, lambda_h_limit):
+    """|a|, once the guards every pullback shares have passed.
 
-    Guards: |a| <= 0.99 always, and lambda * h <= lambda_h_limit (pass None
-    to relax when deliberately constructing under-resolved data).
+    |a| <= 0.99 always, and lambda * h <= lambda_h_limit unless that is None.
     """
-    a = np.asarray(a, dtype=float)
     rho = float(np.linalg.norm(a))
     if rho >= 1.0 - 1e-9:
         raise ParameterDomainError("dilation parameter must satisfy |a| < 1")
     if rho > A_NORM_MAX:
         raise PullbackUnderresolvedError(
             f"|a| = {rho:.4f} beyond the hard guard {A_NORM_MAX}")
-    mesh = u.mesh
     if lambda_h_limit is not None:
         lam = dilation_factor(a)
         if lam * mesh.mean_edge_length > lambda_h_limit:
@@ -169,11 +186,39 @@ def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
                 f"dilation factor {lam:.2f} times mesh scale "
                 f"{mesh.mean_edge_length:.4f} exceeds {lambda_h_limit}; "
                 "refine the mesh or relax the guard")
-    if rho == 0.0:
+    return rho
+
+
+def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
+    """The map u composed with phi_a, interpolated back onto u's mesh.
+
+    Guards: |a| <= 0.99 always, and lambda * h <= lambda_h_limit (pass None
+    to relax when deliberately constructing under-resolved data).
+    """
+    a = np.asarray(a, dtype=float)
+    mesh = u.mesh
+    if _check_pullback(mesh, a, lambda_h_limit) == 0.0:
         return SphereMap(mesh, u.values)
     queries = eval_phi(a, mesh.vertices)
     vals = interpolate_batch(mesh, u.values, queries)
     return SphereMap(mesh, vals)
+
+
+def pullback_jet(u, a, starts=None):
+    """`pullback` (default guards) with its derivative in a.
+
+    Returns (SphereMap, faces, dvalues_da): the located face of every vertex
+    query, which warm-starts the next location through `starts`, and the
+    (V, 3, 3) chain rule d(u o phi_a)/da = du/dp . dphi_a/da.  Unlike
+    `pullback` it locates at a = 0 too, where the derivative is still needed.
+    """
+    a = np.asarray(a, dtype=float)
+    mesh = u.mesh
+    _check_pullback(mesh, a, LAMBDA_H_LIMIT)
+    vals, faces, dv_dp = interpolate_jet(mesh, u.values, eval_phi(a, mesh.vertices),
+                                         starts)
+    dv_da = np.einsum("nij,njk->nik", dv_dp, eval_phi_jacobian(a, mesh.vertices))
+    return SphereMap(mesh, vals), faces, dv_da
 
 
 def max_pullback_radius(mesh, lambda_h_limit=LAMBDA_H_LIMIT):

@@ -41,7 +41,7 @@ from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
 from .flow import FlowConfig, run_flow
 from .mesh import build_icosphere
 from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
-                     params_to_line, pullback, quat_from_matrix, sample)
+                     params_to_line, quat_from_matrix, sample)
 from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
@@ -261,6 +261,8 @@ class RigidityReport:
     ratio: float                  # seminorm_dist / excess, nan when degenerate
     excess_tension_ratio: float   # excess / ||tau(u0)||^2
     balance_a: np.ndarray
+    balance_iterations: int       # Newton iterations to |Phi(a*)| <= tol
+    balance_residual: float       # |Phi(a*)|, the balanced center of mass
     fitted_params: MobiusParams
     fit_converged: bool           # False: fitted_params is FitFailedError.best
     fit_seminorm_dist: float      # same distance against the fitted conformal map
@@ -278,6 +280,8 @@ class RigidityReport:
     def to_json(self):
         return json.dumps({
             "balance_a": [float(c) for c in self.balance_a],
+            "balance_iterations": self.balance_iterations,
+            "balance_residual": self.balance_residual,
             "decomposition_residual": self.decomposition_residual,
             "degenerate": self.degenerate,
             "energy_deficit": self.energy_deficit,
@@ -316,7 +320,7 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
             f"excess {excess_input:.6g} exceeds the working threshold "
             f"{limit_cap:.6g}; the rigidity statement is vacuous there")
     bal = balance(u, tol=tol)
-    u0 = pullback(u, bal.a_star)
+    u0 = bal.balanced
     if flow_cfg is None:
         flow_cfg = default_flow_config(mesh)
     v, trace = run_flow(u0, flow_cfg)
@@ -340,6 +344,7 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
     return RigidityReport(
         excess=exc, seminorm_dist=seminorm, l2_dist_sq=l2_dist_sq(u0, v),
         ratio=ratio, excess_tension_ratio=etr, balance_a=bal.a_star,
+        balance_iterations=bal.iterations, balance_residual=bal.residual,
         fitted_params=fitted, fit_converged=fit_converged,
         fit_seminorm_dist=fit_seminorm,
         flow_status=trace.status, decomposition_residual=decomposition,

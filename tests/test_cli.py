@@ -156,3 +156,24 @@ def test_config_usage_errors(tmp_path, capsys):
         main(["mesh-info", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_values_go_through_the_option_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": "3"}))
+    rc, out, _ = run_cli(capsys, "mesh-info", "--config", str(cfg))
+    assert rc == 0
+    assert last_json(out)["level"] == 3
+    for command, table in (("mesh-info", {"level": "x"}),
+                           ("mesh-info", {"level": 3.5}),
+                           ("mesh-info", {"level": True}),
+                           ("sweep", {"scheme": "rk4"}),
+                           ("sweep", {"dt": "fast"}),
+                           ("sweep", {"eps_list": [0.1, 0.2]})):
+        cfg.write_text(json.dumps(table))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert repr(next(iter(table))) in out.err
+        assert out.out == ""

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 from s2flow.errors import ParameterDomainError, PullbackUnderresolvedError
 from s2flow.fields import FOUR_PI, energy, identity_map, l2_norm_sq, tension
 from s2flow.mobius import (MobiusParams, conformal_factor, dilation_factor,
-                           eval_mobius, eval_phi, max_pullback_radius,
-                           params_from_line, params_to_line, pullback,
-                           quat_from_matrix, quat_to_matrix, sample)
+                           eval_mobius, eval_phi, eval_phi_jacobian,
+                           max_pullback_radius, params_from_line, params_to_line,
+                           pullback, pullback_jet, quat_from_matrix,
+                           quat_to_matrix, sample)
 
 
 def test_dilation_factor_values():
@@ -131,6 +132,38 @@ def test_pullback_guards(mesh_l3):
         pullback(u, np.array([0.0, 0.0, 0.9]))  # lambda h > 1/2 at level 3
     # relaxing the resolution guard (still inside the unit ball) is allowed
     pullback(u, np.array([0.0, 0.0, 0.9]), lambda_h_limit=None)
+    with pytest.raises(ParameterDomainError):
+        pullback_jet(u, np.array([0.0, 0.0, 1.01]))
+    with pytest.raises(PullbackUnderresolvedError):
+        pullback_jet(u, np.array([0.0, 0.0, 0.9]))
+
+
+def test_phi_jacobian_at_zero_is_tangent_projection():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((30, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    expected = 2.0 * (np.eye(3) - x[:, :, None] * x[:, None, :])
+    assert np.abs(eval_phi_jacobian(np.zeros(3), x) - expected).max() <= 1e-15
+    assert np.abs(eval_phi_jacobian(np.zeros(3), x[0]) - expected[0]).max() <= 1e-15
+
+
+def test_phi_jacobian_matches_differences():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((30, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    a, h = np.array([0.3, -0.2, 0.45]), 1e-6
+    fd = np.stack([(eval_phi(a + h * e, x) - eval_phi(a - h * e, x)) / (2 * h)
+                   for e in np.eye(3)], axis=2)
+    assert np.abs(eval_phi_jacobian(a, x) - fd).max() < 1e-8
+
+
+def test_pullback_jet_at_zero_locates_the_vertices(mesh_l3):
+    u = sample(MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, 0.0, 0.2])),
+               mesh_l3)
+    v, faces, dv_da = pullback_jet(u, np.zeros(3))
+    assert np.abs(v.values - u.values).max() <= 1e-15
+    assert all(vid in mesh_l3.faces[f] for vid, f in enumerate(faces))
+    assert dv_da.shape == (mesh_l3.n_vertices, 3, 3)
 
 
 def test_max_pullback_radius_grows_with_level(mesh_l3, mesh_l4, mesh_l5):

@@ -256,7 +256,8 @@ def test_verify_mobius_sample(mesh_l4):
 
 
 def test_verify_perturbed_case(mesh_l5):
-    rep = verify_rigidity(perturbed(mesh_l5, eps=0.2, seed=0, mobius=BASE))
+    u = perturbed(mesh_l5, eps=0.2, seed=0, mobius=BASE)
+    rep = verify_rigidity(u)
     assert rep.flow_status == "Converged"
     assert not rep.degenerate
     assert 1.0 < rep.ratio < 10.0
@@ -269,6 +270,10 @@ def test_verify_perturbed_case(mesh_l5):
     assert d["ratio"] == rep.ratio
     assert d["fitted_params"].startswith("mobius ")
     assert d["fit_converged"] is True
+    # the flow starts from balancing's own pullback, the map at a*
+    assert np.abs(rep.balanced.values - pullback(u, rep.balance_a).values).max() <= 1e-14
+    assert 1 <= d["balance_iterations"] <= 60
+    assert d["balance_residual"] <= 1e-6
 
 
 def test_verify_reports_failed_fit(mesh_l3, monkeypatch):

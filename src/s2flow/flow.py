@@ -5,11 +5,14 @@ vertex travels a chord no longer than dt*|tau|, which is what makes the
 displacement certificates exact inequalities.  The semi-implicit step solves
 (M + dt K) u~ = M u componentwise and renormalizes; it is unconditionally
 stable so dt can scale with h instead of h^2, and is the default for
-production runs.
+production runs.  The system is factored once per (mesh, dt) in a
+nested-dissection vertex order, built once per mesh from the vertex
+coordinates, which fills far less than a generic column ordering.
 
 A run records a trace (energy, tension, center of mass, degree, local energy
-concentration) every few steps, polices monotone energy decay, and stops on
-small tension, the time horizon, or a concentration event.
+concentration) every few steps, polices monotone energy decay (halving dt
+once per energy rise, counted in the trace), and stops on small tension, the
+time horizon, or a concentration event.
 """
 
 import math
@@ -30,6 +33,7 @@ SCHEMES = ("explicit", "semi-implicit")
 ENERGY_SLACK = 1e-9          # relative per-step energy increase tolerance
 SOLVE_RTOL = 1e-10           # semi-implicit residual guard
 CONCENTRATION_THRESHOLD = FOUR_PI - 1.0
+ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
 
 
 @dataclass
@@ -76,6 +80,10 @@ class FlowTrace:
     samples: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)   # map at each sample
     status: str = ""
+    dt_halvings: int = 0          # energy-rise retries; each halves dt for good
+    dt: float | None = None       # the step size the run ended with
+    degree_monitored: bool = False  # False: the first degree was unresolved,
+                                    # so losing the degree stopped nothing
 
 
 def default_dt(mesh, scheme):
@@ -102,10 +110,66 @@ def _normalize_step(vals):
     return vals / norms[:, None]
 
 
+def _dissect(coords, verts, i, j, side, out):
+    """Append the nested-dissection order of `verts`, whose induced edges are
+    (i, j), to `out`: both halves of a median cut, then their separator."""
+    if len(verts) > ND_LEAF:
+        x = coords[verts]
+        c = x[:, np.argmax(np.ptp(x, axis=0))]
+        left = c < np.median(c)
+        if left.any():
+            side[verts] = ~left
+            si, sj = side[i], side[j]
+            cut = si != sj
+            # separator: the left endpoint of every cut edge; without it no
+            # edge joins the two halves
+            side[np.where(si[cut], j[cut], i[cut])] = 2
+            si, sj, sv = side[i], side[j], side[verts]
+            halves = []
+            for s in (0, 1):
+                keep = (si == s) & (sj == s)
+                halves.append((verts[sv == s], i[keep], j[keep]))
+            separator = verts[sv == 2]
+            for half in halves:
+                _dissect(coords, *half, side, out)
+            out.append(separator)
+            return
+    out.append(verts)
+
+
+def _fill_reducing_order(mesh):
+    """(order, its inverse): the vertices in nested-dissection order
+    (A. George, SIAM J. Numer. Anal. 10, 1973), one per mesh.
+
+    Each subproblem carries only its own edges, so the order costs
+    O(V log V).  Factoring M + dt K in this order fills far less than
+    COLAMD on the icosphere, a planar graph with known coordinates.
+    """
+    def build():
+        out = []
+        _dissect(mesh.vertices, np.arange(mesh.n_vertices),
+                 mesh.edges[:, 0].copy(), mesh.edges[:, 1].copy(),
+                 np.zeros(mesh.n_vertices, dtype=np.int8), out)
+        order = np.concatenate(out)
+        return order, np.argsort(order)
+
+    return mesh.memo("nd_order", build)
+
+
 def _semi_implicit_solver(mesh, dt):
-    """LU factors of M + dt K, one per (mesh, dt)."""
-    return mesh.memo(("si_solver", dt), lambda: splu(
-        (sparse.diags(mesh.vertex_areas) + dt * mesh.stiffness).tocsc()))
+    """(order, inverse, LU factors of M + dt K in that order), one per
+    (mesh, dt); every dt shares the order.
+
+    With positive cotangent weights M + dt K is strictly diagonally
+    dominant, so SuperLU's default pivoting swaps no rows and keeps the
+    nested-dissection fill.
+    """
+    def build():
+        order, inverse = _fill_reducing_order(mesh)
+        a = (sparse.diags(mesh.vertex_areas) + dt * mesh.stiffness).tocsc()
+        return order, inverse, splu(a[order][:, order], permc_spec="NATURAL")
+
+    return mesh.memo(("si_solver", dt), build)
 
 
 def _advance(u, state, dt, scheme):
@@ -113,7 +177,9 @@ def _advance(u, state, dt, scheme):
         return SphereMap(u.mesh, _normalize_step(u.values + dt * state.tau))
     mesh = u.mesh
     rhs = mesh.vertex_areas[:, None] * u.values
-    sol = _semi_implicit_solver(mesh, dt).solve(rhs)
+    order, inverse, lu = _semi_implicit_solver(mesh, dt)
+    # np.take gathers faster than fancy indexing and returns C order
+    sol = np.take(lu.solve(np.take(rhs, order, axis=0)), inverse, axis=0)
     # (M + dt K) sol - rhs, without assembling M + dt K a second time
     resid = np.linalg.norm(mesh.vertex_areas[:, None] * sol
                            + dt * (mesh.stiffness @ sol) - rhs) / np.linalg.norm(rhs)
@@ -237,6 +303,7 @@ def run_flow(u0, cfg=None):
         state_next = _State(u_next)
         if state_next.energy > state.energy * (1.0 + ENERGY_SLACK):
             dt *= 0.5  # halve once and retry; a second increase fails the run
+            trace.dt_halvings += 1
             u_next = _advance(u, state, dt, cfg.scheme)
             state_next = _State(u_next)
             if state_next.energy > state.energy * (1.0 + ENERGY_SLACK):
@@ -250,6 +317,7 @@ def run_flow(u0, cfg=None):
 
     if last_recorded != nstep and record():
         trace.status = "SingularityDetected"
+    trace.dt, trace.degree_monitored = dt, degree_ref is not None
     return u, trace
 
 

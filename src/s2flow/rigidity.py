@@ -291,6 +291,8 @@ class RigidityReport:
             "fit_converged": self.fit_converged,
             "fit_seminorm_dist": self.fit_seminorm_dist,
             "fitted_params": params_to_line(self.fitted_params),
+            "flow_degree_monitored": self.trace.degree_monitored,
+            "flow_dt_halvings": self.trace.dt_halvings,
             "flow_status": self.flow_status,
             "l2_dist_sq": self.l2_dist_sq,
             "mean_v_norm": self.mean_v_norm,

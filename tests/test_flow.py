@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve, splu
 
+import s2flow.flow as flow_mod
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
                            ParameterDomainError)
-from s2flow.fields import (FOUR_PI, energy, identity_map, l2_dist_sq,
-                           l2_norm_sq, local_energy, tension)
+from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
+                           l2_dist_sq, l2_norm_sq, local_energy, tension)
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
                          default_dt, detect_concentration, flow_certificates,
                          local_energy_profile, run_flow, step, write_trace_csv)
+from s2flow.mesh import build_icosphere
 from s2flow.mobius import MobiusParams, sample
 from s2flow.rigidity import default_flow_config, tension_floor
 from s2flow.scenarios import ScenarioSpec, generate
@@ -59,6 +63,8 @@ def test_step_decreases_energy_and_stays_unit(mesh_l4, scheme):
     norms = np.linalg.norm(u1.values, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert energy(u1) < energy(u)
+    # a Fortran-ordered map would make every later K @ u copy its input
+    assert u1.values.flags.c_contiguous
 
 
 def test_explicit_step_moves_at_most_dt_tau_pointwise(mesh_l4):
@@ -86,6 +92,10 @@ def test_run_flow_converges_and_certificates_hold(mesh_l4, scheme):
     energies = [s.energy for s in trace.samples]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
     assert all(s.degree == 1 for s in trace.samples)
+    assert v.values.flags.c_contiguous
+    assert trace.dt_halvings == 0
+    assert trace.dt == (cfg.dt or default_dt(mesh_l4, scheme))
+    assert trace.degree_monitored
     certs = flow_certificates(trace)
     assert len(certs.rows) == len(trace.samples) - 1
     assert all(r.lhs <= r.mid * (1 + 1e-6) + 1e-13 for r in certs.rows)
@@ -187,3 +197,93 @@ def test_trace_csv_format(tmp_path, mesh_l3):
     assert len(first) == len(TRACE_HEADER.split(","))
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(trace.samples[0].energy, rel=1e-15)
+
+
+# --- the nested-dissection ordered solver ---------------------------------------
+
+def test_fill_reducing_order_is_a_deterministic_permutation():
+    for level in (2, 4):
+        mesh = build_icosphere(level)
+        order, inverse = flow_mod._fill_reducing_order(mesh)
+        again, _ = flow_mod._fill_reducing_order(build_icosphere(level))
+        every = np.arange(mesh.n_vertices)
+        assert np.array_equal(np.sort(order), every)
+        assert np.array_equal(order[inverse], every)
+        assert np.array_equal(order, again)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_ordered_factor_swaps_no_rows(level):
+    # M + dt K is strictly diagonally dominant: SuperLU's partial pivoting
+    # keeps the diagonal, so the factor has the nested-dissection fill
+    mesh = build_icosphere(level)
+    _, _, lu = flow_mod._semi_implicit_solver(
+        mesh, default_dt(mesh, "semi-implicit"))
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("dt_scale", [1.0, 0.5])
+def test_ordered_step_matches_direct_solve(level, dt_scale):
+    mesh = build_icosphere(level)
+    dt = dt_scale * default_dt(mesh, "semi-implicit")
+    u = perturbed(mesh, eps=0.2, seed=1)
+    a = (sparse.diags(mesh.vertex_areas) + dt * mesh.stiffness).tocsc()
+    sol = spsolve(a, mesh.vertex_areas[:, None] * u.values)
+    want = sol / np.linalg.norm(sol, axis=1)[:, None]
+    got = step(u, FlowConfig(dt=dt)).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ordered_factor_fills_less_than_colamd(mesh_l5):
+    dt = default_dt(mesh_l5, "semi-implicit")
+    _, _, lu = flow_mod._semi_implicit_solver(mesh_l5, dt)
+    colamd = splu((sparse.diags(mesh_l5.vertex_areas)
+                   + dt * mesh_l5.stiffness).tocsc())
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_two_dt_share_one_order(monkeypatch):
+    calls = []
+    dissect = flow_mod._dissect
+
+    def counted(coords, verts, *args):
+        calls.append(len(verts))
+        return dissect(coords, verts, *args)
+
+    monkeypatch.setattr(flow_mod, "_dissect", counted)
+    mesh = build_icosphere(3)
+    dt = default_dt(mesh, "semi-implicit")
+    first = flow_mod._semi_implicit_solver(mesh, dt)
+    assert calls.count(mesh.n_vertices) == 1
+    built = len(calls)
+    second = flow_mod._semi_implicit_solver(mesh, 0.5 * dt)
+    assert len(calls) == built
+    assert second[0] is first[0] and second[2] is not first[2]
+
+
+# --- dt halvings and the degree monitor in the trace ------------------------------
+
+def test_halved_dt_is_counted(mesh_l2):
+    # twice the explicit default raises the energy on the first step; half
+    # of it does not, and the run completes at that dt
+    u0 = perturbed(mesh_l2, eps=0.2, seed=4)
+    dt = 2.0 * default_dt(mesh_l2, "explicit")
+    cfg = default_flow_config(mesh_l2, scheme="explicit", dt=dt, t_max=2.0)
+    _, trace = run_flow(u0, cfg)
+    assert trace.status == "Converged"
+    assert trace.dt_halvings == 1
+    assert trace.dt == 0.5 * dt
+    assert trace.degree_monitored
+
+
+def test_unresolved_start_leaves_degree_unmonitored(mesh_l3):
+    # one vertex sent to the antipode of a neighbour: the face-sum degree of
+    # the start is 0.6, so there is no reference degree to lose
+    vals = mesh_l3.vertices.copy()
+    i, j = mesh_l3.edges[0]
+    vals[j] = -vals[i]
+    u0 = SphereMap(mesh_l3, vals)
+    _, trace = run_flow(u0, default_flow_config(mesh_l3, t_max=0.5))
+    assert trace.samples[0].degree is None
+    assert not trace.degree_monitored

@@ -274,6 +274,8 @@ def test_verify_perturbed_case(mesh_l5):
     assert np.abs(rep.balanced.values - pullback(u, rep.balance_a).values).max() <= 1e-14
     assert 1 <= d["balance_iterations"] <= 60
     assert d["balance_residual"] <= 1e-6
+    assert d["flow_dt_halvings"] == rep.trace.dt_halvings == 0
+    assert d["flow_degree_monitored"] is True
 
 
 def test_verify_reports_failed_fit(mesh_l3, monkeypatch):

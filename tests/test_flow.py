@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +161,59 @@ def test_detect_concentration_threshold(mesh_l4):
         u, FlowConfig(concentration_threshold=5.0))
     assert flag2 and max_local2 >= 5.0
     assert abs(np.linalg.norm(where) - 1.0) < 1e-12
+
+
+def _dense_concentration_operator(mesh, radius):
+    """Brute force: row k holds the edges with both ends in ball k."""
+    x = mesh.vertices
+    inside = x @ x.T >= math.cos(min(radius, math.pi)) - 1e-12
+    ref = inside[:, mesh.edges[:, 0]] & inside[:, mesh.edges[:, 1]]
+    indptr = np.concatenate([[0], np.cumsum(ref.sum(axis=1))])
+    return ref.shape, indptr, np.nonzero(ref)[1]
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_concentration_operator_matches_brute_force(level):
+    mesh = build_icosphere(level)
+    for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
+        op = flow_mod._concentration_operator(mesh, radius)
+        shape, indptr, indices = _dense_concentration_operator(mesh, radius)
+        assert op.format == "csr" and op.has_sorted_indices
+        assert op.shape == shape
+        assert np.array_equal(op.indptr, indptr)
+        assert np.array_equal(op.indices, indices)
+        assert op.data.dtype == np.float64 and np.all(op.data == 1.0)
+
+
+def test_concentration_operator_edge_radii(mesh_l2):
+    min_arc = 2.0 * math.asin(mesh_l2.min_edge_length / 2.0)
+    # a ball around one vertex reaching none of its neighbours holds no edge
+    assert flow_mod._concentration_operator(mesh_l2, 0.5 * min_arc).nnz == 0
+    # the shortest edges lie on the boundary of their end points' balls
+    op = flow_mod._concentration_operator(mesh_l2, min_arc)
+    _, indptr, indices = _dense_concentration_operator(mesh_l2, min_arc)
+    assert op.nnz > 0
+    assert np.array_equal(op.indptr, indptr)
+    assert np.array_equal(op.indices, indices)
+    n, n_edges = mesh_l2.n_vertices, mesh_l2.n_edges
+    for radius in (math.pi, 4.0):
+        op = flow_mod._concentration_operator(mesh_l2, radius)
+        assert op.nnz == n * n_edges
+        assert np.array_equal(op.indices, np.tile(np.arange(n_edges), n))
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.spatial and scipy.optimize are imported where they are used, so
+    # a process that only imports s2flow (a sweep worker, say) stays small
+    code = ("import sys, s2flow; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(flow_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_energy_monotonicity_guard_trips_on_huge_dt(mesh_l3):

@@ -84,8 +84,8 @@ class FlowTrace:
     status: str = ""
     dt_halvings: int = 0          # energy-rise retries; each halves dt for good
     dt: float | None = None       # the step size the run ended with
-    degree_monitored: bool = False  # False: the first degree was unresolved,
-                                    # so losing the degree stopped nothing
+    degree_monitored: bool = False  # False: no degree was given and the first
+                                    # was unresolved, so losing it stopped nothing
 
 
 def default_dt(mesh, scheme):
@@ -203,19 +203,17 @@ def _concentration_operator(mesh, radius):
     """(V x E) 0/1 matrix summing per-edge energies into every radius-ball:
     row k holds the edges whose two ends satisfy <x_i, x_k> >= cos r - 1e-12.
 
-    The ball pairs come from a k-d tree at the ball's chord, padded, then
+    The ball pairs come from the mesh's vertex k-d tree (`vertex_tree`, which
+    also starts cold point location) at the ball's chord, padded, then
     filtered by that exact test; C = Y B counts the ends of edge e in ball k
     (Y the membership, B the edge incidence), and the operator keeps C == 2.
     """
     def build():
-        # imported here: scipy.spatial adds ~7 MB to every process importing s2flow
-        from scipy.spatial import cKDTree
-
         n, n_edges = mesh.n_vertices, mesh.n_edges
         cos_r = math.cos(min(radius, math.pi)) - 1e-12
         chord = math.sqrt(2.0 - 2.0 * cos_r) + 1e-9   # padded for |x| != 1
         x = mesh.vertices
-        pairs = cKDTree(x).query_pairs(chord, output_type="ndarray")
+        pairs = mesh.vertex_tree.query_pairs(chord, output_type="ndarray")
         keep = np.einsum("ij,ij->i", x[pairs[:, 0]], x[pairs[:, 1]]) >= cos_r
         i, k = pairs[keep].T
         diag = np.arange(n)
@@ -255,12 +253,23 @@ def detect_concentration(u, cfg=None):
 
 # --- the run loop -----------------------------------------------------------
 
-def run_flow(u0, cfg=None):
+def _sampled_degree(u):
+    """The degree of u, or None where the face sum does not resolve it."""
+    try:
+        return degree(u)
+    except DegreeUnresolvedError:
+        return None
+
+
+def run_flow(u0, cfg=None, *, degree=None):
     """Run the flow from u0 until convergence, the horizon, or concentration.
 
     Returns (final map, FlowTrace).  Every recorded sample carries the
     cumulative path length sum(dt * ||tau||), which is the data the
-    displacement certificates compare against.
+    displacement certificates compare against.  The degree monitor guards
+    `degree` when it is given (a first sample of another or no degree ends
+    the run as SingularityDetected), else the first sample's degree if that
+    resolves.
     """
     cfg = cfg or FlowConfig()
     mesh = u0.mesh
@@ -269,14 +278,11 @@ def run_flow(u0, cfg=None):
     u, state = u0, _State(u0)
     t, nstep, path_len = 0.0, 0, 0.0
     last_recorded = -1
-    degree_ref = None
+    degree_ref = degree
 
     def record():
         nonlocal last_recorded, degree_ref
-        try:
-            deg = degree(u)
-        except DegreeUnresolvedError:
-            deg = None
+        deg = _sampled_degree(u)
         flag, max_local, _ = detect_concentration(u, cfg)
         trace.samples.append(FlowSample(
             t=t, energy=state.energy, tension_sq=state.tau_sq,

@@ -3,7 +3,9 @@
 The mesh is the substrate for the whole lab: cotangent edge weights give the
 stiffness form (Dirichlet integrals of piecewise-linear fields), lumped
 barycentric areas give the mass weights, and central-projection barycentric
-coordinates give point location / interpolation on the curved sphere.
+coordinates give point location / interpolation on the curved sphere.  A
+location walks the face adjacency, starting from the given faces or, cold,
+from a face of the mesh vertex nearest the point (one k-d tree per mesh).
 
 Meshes are immutable once built; derived structures (stiffness matrix, face
 inverses, adjacency) are computed lazily and cached on the instance, which is
@@ -198,6 +200,14 @@ class TriMesh:
         return neigh
 
     @cached_property
+    def vertex_tree(self):
+        """k-d tree of the vertices: nearest-vertex queries and ball pairs."""
+        # imported here: scipy.spatial adds ~7 MB to every process importing s2flow
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.vertices)
+
+    @cached_property
     def _vertex_face(self):
         """One incident face index per vertex."""
         vf = np.empty(self.n_vertices, dtype=np.int64)
@@ -243,22 +253,19 @@ def geodesic_distance(x, y):
 _BARY_TOL = 1e-12
 
 
-def _coarse_starts(mesh, points):
-    """Start faces from the nearest of the 12 base vertices (always first)."""
-    best = np.argmax(points @ mesh.vertices[:12].T, axis=1)
-    return mesh._vertex_face[best]
-
-
 def locate_batch(mesh, points, starts=None):
     """Locate many points by lockstep adjacency walks; returns (faces, bary).
 
-    Walks step across the edge opposite the most negative coordinate and fall
-    back to a brute-force scan for any query that fails to settle.
+    Walks start on `starts` (one face per point, or one for all) or, without
+    them, on a face of the mesh vertex nearest each point, a few steps from
+    its own face.  They step across the edge opposite the most negative
+    coordinate and fall back to a brute-force scan for any query that fails
+    to settle.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     if starts is None:
-        face = _coarse_starts(mesh, pts)
+        face = mesh._vertex_face[mesh.vertex_tree.query(pts)[1]]
     else:
         face = np.array(np.broadcast_to(starts, (n,)), dtype=np.int64)
     prev = np.full(n, -1, dtype=np.int64)

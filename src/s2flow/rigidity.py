@@ -325,7 +325,7 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
     u0 = bal.balanced
     if flow_cfg is None:
         flow_cfg = default_flow_config(mesh)
-    v, trace = run_flow(u0, flow_cfg)
+    v, trace = run_flow(u0, flow_cfg, degree=1)
 
     deficit = energy_deficit(mesh)
     exc = calibrated_excess(u0)

@@ -16,7 +16,7 @@ from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
                          default_dt, detect_concentration, flow_certificates,
                          local_energy_profile, run_flow, step, write_trace_csv)
-from s2flow.mesh import build_icosphere
+from s2flow.mesh import build_icosphere, locate_batch
 from s2flow.mobius import MobiusParams, sample
 from s2flow.rigidity import default_flow_config, tension_floor
 from s2flow.scenarios import ScenarioSpec, generate
@@ -202,6 +202,25 @@ def test_concentration_operator_edge_radii(mesh_l2):
         assert np.array_equal(op.indices, np.tile(np.arange(n_edges), n))
 
 
+def test_concentration_monitor_and_location_share_one_tree(monkeypatch):
+    import scipy.spatial
+
+    built = []
+    tree = scipy.spatial.cKDTree
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    mesh = build_icosphere(3)
+    pts = np.random.default_rng(0).standard_normal((50, 3))
+    locate_batch(mesh, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    assert len(built) == 1   # cold walks start from the nearest vertex
+    detect_concentration(identity_map(mesh))
+    assert len(built) == 1
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.spatial and scipy.optimize are imported where they are used, so
     # a process that only imports s2flow (a sweep worker, say) stays small
@@ -343,3 +362,21 @@ def test_unresolved_start_leaves_degree_unmonitored(mesh_l3):
     _, trace = run_flow(u0, default_flow_config(mesh_l3, t_max=0.5))
     assert trace.samples[0].degree is None
     assert not trace.degree_monitored
+    # with the degree known, an unresolved start is already a lost degree
+    _, trace = run_flow(u0, default_flow_config(mesh_l3, t_max=0.5), degree=1)
+    assert trace.status == "SingularityDetected"
+    assert len(trace.samples) == 1 and trace.degree_monitored
+
+
+def test_known_degree_catches_a_start_that_resolves_to_another(mesh_l3):
+    # at level 3 the face sum of this degree-one collapse start is 0; armed
+    # on that, the monitor lets the run converge
+    spec = ScenarioSpec(kind="concentrated_unbalanced", level=3, seed=0,
+                        eps=0.05, a_norm=0.95)
+    u0 = generate(spec, mesh_l3)
+    cfg = default_flow_config(mesh_l3)
+    _, trace = run_flow(u0, cfg)
+    assert trace.samples[0].degree == 0 and trace.status == "Converged"
+    _, trace = run_flow(u0, cfg, degree=1)
+    assert trace.status == "SingularityDetected"
+    assert len(trace.samples) == 1 and trace.degree_monitored

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import s2flow.mesh as mesh_mod
 from s2flow.errors import FileFormatError, ResourceLimitError
 from s2flow.fields import FOUR_PI
 from s2flow.mesh import (_locate_brute, build_icosphere, geodesic_distance,
                          interpolate_batch, interpolate_jet, laplacian_apply,
                          locate, locate_and_interpolate, locate_batch,
                          read_mesh, write_mesh)
+from s2flow.mobius import eval_phi
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -125,6 +127,45 @@ def test_locate_batch_agrees_with_brute_force(mesh_l3):
     same = f_walk == f_brute
     w = b_walk / b_walk.sum(axis=1, keepdims=True)
     assert (same | (w.min(axis=1) < 1e-9)).all()
+
+
+def _refuse_brute(mesh, pts):
+    raise AssertionError(f"{len(pts)} walks did not settle")
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_cold_walks_settle_on_clustered_pullbacks(level, monkeypatch):
+    # the vertices pulled back by strong dilations crowd into a small cap,
+    # far from most vertices' faces; every walk from the nearest vertex must
+    # settle, without the fallback, on a face holding its point: the
+    # brute-force face (checked on a sample, the scan costs ~3 ms a point at
+    # level 5)
+    mesh = build_icosphere(level)
+    rng = np.random.default_rng(level)
+    queries = []
+    for _ in range(10):
+        axis = rng.standard_normal(3)
+        pts = eval_phi(rng.uniform(0.9, 0.97) * axis / np.linalg.norm(axis),
+                       mesh.vertices)
+        some = rng.choice(len(pts), 64, replace=False)
+        queries.append((pts, some, _locate_brute(mesh, pts[some])[0]))
+    monkeypatch.setattr(mesh_mod, "_locate_brute", _refuse_brute)
+    for pts, some, ref in queries:
+        face, bary = locate_batch(mesh, pts)
+        assert (bary.min(axis=1) >= -1e-12 * np.abs(bary).sum(axis=1)).all()
+        assert np.array_equal(face[some], ref)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_cold_location_of_vertices(level):
+    # vertices lie on face boundaries: any incident face is a valid answer
+    mesh = build_icosphere(level)
+    pts = mesh.vertices
+    face, bary = locate_batch(mesh, pts)
+    assert (mesh.faces[face] == np.arange(mesh.n_vertices)[:, None]).any(axis=1).all()
+    assert (bary.min(axis=1) >= -1e-12 * np.abs(bary).sum(axis=1)).all()
+    ref = np.einsum("nij,nj->ni", mesh._face_basis_inv[face], pts)
+    assert np.abs(bary - ref).max() <= 1e-15
 
 
 def test_locate_interpolation_reconstructs_query(mesh_l4):

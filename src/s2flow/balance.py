@@ -5,7 +5,9 @@ neighborhood of zero, so a damped Newton iteration finds a parameter a* with
 |Phi(a*)| below tolerance.  The Jacobian is the exact derivative of the
 discrete functional: the area-weighted mean of the chain rule
 du/dp . dphi_a/da over the located pullback (mobius.pullback_jet), so each
-Newton step costs one located pullback, warm-started from the faces of the
+Newton step costs one located pullback.  The first step from a seed moves
+every query the whole way towards a*, so it locates cold, from the nearest
+mesh vertex; later steps move little and warm-start from the faces of the
 last accepted iterate.  The balanced representative u o phi_{a*} is the
 right starting point for the flow: its center of mass stays small, which is
 what rules out concentration.
@@ -57,12 +59,13 @@ def balance(u, tol=1e-6, max_iter=60):
     """Find a* with |center_functional(u, a*)| <= tol.
 
     Damped Newton on the exact Jacobian of the discrete functional; iterates
-    stay inside the pullback resolution guard, and every point location
-    starts from the faces of the last accepted iterate.  On stagnation the
-    iteration restarts from a small set of symmetric seeds (origin first, so
-    among nearby roots the small-|a| one is preferred).  The result carries
-    the balanced map u o phi_{a*}.  Raises BalanceFailedError carrying the
-    best iterate if the budget runs out.
+    stay inside the pullback resolution guard.  Point location is cold at
+    each seed and for the first step from it, and afterwards starts from the
+    faces of the last accepted iterate.  On stagnation the iteration
+    restarts from a small set of symmetric seeds (origin first, so among
+    nearby roots the small-|a| one is preferred).  The result carries the
+    balanced map u o phi_{a*}.  Raises BalanceFailedError carrying the best
+    iterate if the budget runs out.
     """
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
@@ -70,11 +73,13 @@ def balance(u, tol=1e-6, max_iter=60):
     path = []
     best_a, best_res, best_v = np.zeros(3), float("inf"), None
     iters = 0
-    faces = None
 
     for seed in _SEEDS:
         a = _project_ball(np.asarray(seed, dtype=float), a_max)
-        phi, jac, v, faces = _center_jet(u, a, faces)
+        # the first step moves every query the whole way towards a*: from
+        # the seed's faces that walk is longer than a nearest-vertex start
+        phi, jac, v, _ = _center_jet(u, a)
+        faces = None
         res = float(np.linalg.norm(phi))
         path.append(a.copy())
         if res < best_res:

@@ -373,7 +373,7 @@ def interpolate_jet(mesh, field, points, starts=None):
 def locate_and_interpolate(mesh, field, p, hint=None):
     """Interpolate `field` at a single unit vector p; returns a unit vector."""
     p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(p) - 1.0) <= 1e-12:  # refuses NaN and inf too
         raise ValueError("query point must be a unit vector")
     starts = None if hint is None else np.asarray([hint])
     return interpolate_batch(mesh, np.asarray(field, dtype=float),

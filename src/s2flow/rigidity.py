@@ -21,13 +21,15 @@ and the map eventually slides to concentration and collapses to a constant).
 
 The flow limit is also compared with its nearest conformal map (fit_mobius):
 a Levenberg-Marquardt least-squares fit of the gradient-weighted misfit.
-fit_residuals is the residual vector and fit_objective its squared norm.
+fit_residuals is the residual vector, fit_objective its squared norm and
+fit_jacobian its closed-form derivative in the solver's chart.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -40,8 +42,9 @@ from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
                      l2_dist_sq, l2_norm_sq, mean, tension)
 from .flow import FlowConfig, run_flow
 from .mesh import build_icosphere
-from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
-                     params_to_line, quat_from_matrix, sample)
+from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, eval_phi,
+                     eval_phi_jacobian, params_to_line, quat_from_matrix,
+                     sample)
 from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
@@ -184,23 +187,89 @@ def _params_from_x(x):
     return MobiusParams(x[:4], A_NORM_MAX * b / math.sqrt(1.0 + float(b @ b)))
 
 
+def _quat_matrix_partials(q):
+    """d quat_to_matrix / d q_k at the unit quaternion q, shape (4, 3, 3)."""
+    w, x, y, z = q
+    return 2.0 * np.array([
+        [[0, -z, y], [z, 0, -x], [-y, x, 0]],
+        [[0, y, z], [y, -2 * x, -w], [z, w, -2 * x]],
+        [[-2 * y, x, w], [x, 0, z], [-w, z, -2 * y]],
+        [[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0]],
+    ])
+
+
+def fit_jacobian(u, x):
+    """Closed-form (3V, 7) derivative of fit_residuals(u, _params_from_x(x)).
+
+    With r_i = w_i mu_i (u_i - R phi_a(x_i)), w_i = sqrt(2 A_i):
+      - in q: R depends on q/|q|, so dR/dq = dR/dq^ . (I - q^ q^T) / |q|;
+      - in a: dphi/da is mobius.eval_phi_jacobian, and the stretch
+        mu = (1 - |a|^2) / |x + a|^2 has dmu/da = -2 (a + mu (x + a)) / |x + a|^2;
+      - in b: da/db = A_NORM_MAX (I - b b^T / (1 + |b|^2)) / sqrt(1 + |b|^2).
+    `sample`'s renormalization contributes nothing, since |R phi_a| = 1.
+    The columns are built in a (7, V, 3) array; the result is its transposed
+    view.
+    """
+    mesh = u.mesh
+    q, b = x[:4], x[4:]
+    params = _params_from_x(x)
+    qhat, a, rot = params.quat, params.a, params.rotation
+    pts = mesh.vertices
+    phi = eval_phi(a, pts)
+    xa = pts + a
+    dist_sq = np.einsum("ij,ij->i", xa, xa)
+    mu = (1.0 - float(a @ a)) / dist_sq
+    w = np.sqrt(2.0 * mesh.vertex_areas)
+    wmu = (w * mu)[:, None]
+    s = math.sqrt(1.0 + float(b @ b))
+    da_db = A_NORM_MAX * (np.eye(3) - np.outer(b, b) / (s * s)) / s
+    dr_dq = np.einsum("lij,lk->kij", _quat_matrix_partials(qhat),
+                      (np.eye(4) - np.outer(qhat, qhat)) / np.linalg.norm(q))
+    # one (3V, 3) product: a batched (3, 3) matmul per vertex is far slower
+    dphi_db = (eval_phi_jacobian(a, pts).reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
+    diff = u.values - phi @ rot.T
+    dmu_db = (-2.0 * (a + mu[:, None] * xa) / dist_sq[:, None]) @ da_db
+
+    jac = np.empty((7, len(pts), 3))
+    for k in range(4):  # -w mu dR/dq_k phi
+        np.matmul(phi, -dr_dq[k].T, out=jac[k])
+        jac[k] *= wmu
+    for j in range(3):  # w (dmu/db_j diff - mu R dphi/db_j)
+        np.matmul(dphi_db[:, :, j], -rot.T, out=jac[4 + j])
+        jac[4 + j] *= wmu
+        jac[4 + j] += (w * dmu_db[:, j])[:, None] * diff
+    return jac.reshape(7, -1).T
+
+
 def fit_mobius(u):
     """Best conformal approximation of u by least squares on fit_residuals.
 
-    Levenberg-Marquardt (scipy.optimize.least_squares) from the area-weighted
-    Procrustes rotation with a = 0.  A start is certified when the solver
-    converged and the misfit gradient norm is at most 1e-5 * (1 + misfit).
-    Only when the first start is not certified are three more tried, rotated
-    a quarter turn about each coordinate axis; the best certified one wins.
-    Raises FitFailedError (carrying the best parameters seen) when no start
-    is certified.
+    Levenberg-Marquardt (scipy.optimize.least_squares) on the closed-form
+    fit_jacobian, from the area-weighted Procrustes rotation with a = 0.  The
+    length of the quaternion does not change the map, so the Jacobian has a
+    null direction, along which the solver drifts wherever the misfit
+    vanishes (exact conformal samples); one more residual, |q| - 1, fixes the
+    length.  A start is certified when the solver converged and the misfit
+    gradient norm is at most 1e-5 * (1 + misfit).  Only when the first start
+    is not certified are three more tried, rotated a quarter turn about each
+    coordinate axis; the best certified one wins.  Raises FitFailedError
+    (carrying the best parameters seen) when no start is certified.
     """
     # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
     from scipy.optimize import least_squares
 
+    def residuals(x):  # fit_residuals, then |q| - 1
+        return np.append(fit_residuals(u, _params_from_x(x)),
+                         np.linalg.norm(x[:4]) - 1.0)
+
+    def jacobian(x):
+        q = x[:4]
+        return np.vstack([fit_jacobian(u, x),
+                          np.concatenate([q / np.linalg.norm(q), np.zeros(3)])])
+
     def solve(quat):
-        res = least_squares(lambda x: fit_residuals(u, _params_from_x(x)),
-                            np.concatenate([quat, np.zeros(3)]), method="lm")
+        res = least_squares(residuals, np.concatenate([quat, np.zeros(3)]),
+                            method="lm", jac=jacobian)
         misfit = 2.0 * res.cost
         grad_norm = 2.0 * float(np.linalg.norm(res.grad))
         ok = res.status > 0 and grad_norm <= 1e-5 * (1.0 + misfit)
@@ -276,6 +345,7 @@ class RigidityReport:
     balanced: object              # the balanced start u0
     limit: object                 # the flow limit v
     trace: object
+    stage_s: dict                 # wall seconds in "balance", "flow" and "fit"
 
     def to_json(self):
         return json.dumps({
@@ -298,6 +368,7 @@ class RigidityReport:
             "mean_v_norm": self.mean_v_norm,
             "ratio": self.ratio,
             "seminorm_dist": self.seminorm_dist,
+            "stage_s": self.stage_s,
         }, sort_keys=True, indent=2)
 
 
@@ -321,11 +392,14 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
         raise VacuousRegimeError(
             f"excess {excess_input:.6g} exceeds the working threshold "
             f"{limit_cap:.6g}; the rigidity statement is vacuous there")
+    t_balance = time.perf_counter()
     bal = balance(u, tol=tol)
     u0 = bal.balanced
     if flow_cfg is None:
         flow_cfg = default_flow_config(mesh)
+    t_flow = time.perf_counter()
     v, trace = run_flow(u0, flow_cfg, degree=1)
+    t_flow_end = time.perf_counter()
 
     deficit = energy_deficit(mesh)
     exc = calibrated_excess(u0)
@@ -336,10 +410,13 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
     etr = exc / tau0_sq if tau0_sq > 0.0 else float("nan")
 
     fit_converged = True
+    t_fit = time.perf_counter()
     try:
         fitted = fit_mobius(v)
     except FitFailedError as err:
         fitted, fit_converged = err.best, False
+    stage_s = {"balance": t_flow - t_balance, "flow": t_flow_end - t_flow,
+               "fit": time.perf_counter() - t_fit}
     fit_seminorm = dirichlet_diff(u0, sample(fitted, mesh))
     decomposition = w12_identity_check(u0, fitted).relative_gap
 
@@ -352,7 +429,8 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
         flow_status=trace.status, decomposition_residual=decomposition,
         mean_v_norm=float(np.linalg.norm(mean(v))), sup_dv=sup_gradient(v),
         degenerate=degenerate, energy_deficit=deficit,
-        excess_input=excess_input, balanced=u0, limit=v, trace=trace)
+        excess_input=excess_input, balanced=u0, limit=v, trace=trace,
+        stage_s=stage_s)
 
 
 # --- family sweeps ---------------------------------------------------------------

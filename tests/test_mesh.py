@@ -239,6 +239,14 @@ def test_locate_and_interpolate_rejects_off_sphere(mesh_l3):
         locate_and_interpolate(mesh_l3, mesh_l3.vertices, np.array([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_locate_and_interpolate_rejects_non_finite(mesh_l3, bad):
+    # a NaN norm compares False against any tolerance, so the check must
+    # accept only norms within it
+    with pytest.raises(ValueError, match="query point must be a unit vector"):
+        locate_and_interpolate(mesh_l3, mesh_l3.vertices, np.array([bad, 0.0, 0.0]))
+
+
 @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3))
 def test_locate_always_settles(coords):
     vec = np.array(coords)

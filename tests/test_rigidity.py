@@ -5,22 +5,25 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from s2flow import rigidity
 from s2flow.errors import (FitFailedError, ParameterDomainError,
                            PreconditionError, VacuousRegimeError)
+from s2flow.balance import balance
 from s2flow.fields import (FOUR_PI, SphereMap, constant_map, degree, energy,
                            identity_map)
-from s2flow.mobius import MobiusParams, conformal_factor, pullback, sample
+from s2flow.flow import run_flow
+from s2flow.mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
+                           pullback, sample)
 from s2flow.rigidity import (DEGENERATE_FACTOR, SWEEP_HEADER, calibrated_excess,
                              constant_sweep, default_excess_limit,
                              default_flow_config, energy_deficit,
-                             excess_tension_probe, fit_mobius, fit_objective,
-                             fit_residuals, run_case, summarize_sweep,
-                             sup_gradient, tension_floor, verify_rigidity,
-                             w12_identity_check, write_sweep_csv,
-                             write_sweep_summary)
+                             excess_tension_probe, fit_jacobian, fit_mobius,
+                             fit_objective, fit_residuals, run_case,
+                             summarize_sweep, sup_gradient, tension_floor,
+                             verify_rigidity, w12_identity_check,
+                             write_sweep_csv, write_sweep_summary)
 from s2flow.scenarios import ScenarioSpec, generate, standard_family
 
 BASE = MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, -0.15, 0.2]))
@@ -150,14 +153,18 @@ def test_probe_rejects_large_excess(mesh_l3):
 
 # --- conformal fit -----------------------------------------------------------
 
+# strong dilations, |a| of 0.88, 0.85 and 0.9
+STRONG = [MobiusParams([0.9, 0.1, -0.2, 0.3], [-0.5, 0.6, -0.4]),
+          MobiusParams([0, 0, 1, 0], [0.6, 0, 0.6]),
+          MobiusParams([1, 0, 0, 0], [0, 0, 0.9])]
+
+
 @pytest.mark.parametrize("params", [
-    BASE,
-    # strong dilations, |a| of 0.88, 0.85 and 0.9; the last one is not
-    # certified from the Procrustes start and goes through the restarts
-    MobiusParams([0.9, 0.1, -0.2, 0.3], [-0.5, 0.6, -0.4]),
-    MobiusParams([0, 0, 1, 0], [0.6, 0, 0.6]),
-    MobiusParams([1, 0, 0, 0], [0, 0, 0.9]),
-], ids=["base", "strong-a-0.88", "strong-a-0.85", "strong-a-0.9"])
+    BASE, *STRONG,
+    # the Procrustes start is the exact rotation and the misfit vanishes
+    # there: with |q| left free the solver drifts along it and stalls
+    MobiusParams([1, 0, 0, 0], [0.5, 0, 0]),
+], ids=["base", "strong-a-0.88", "strong-a-0.85", "strong-a-0.9", "axis-a-0.5"])
 def test_fit_recovers_exact_sample(mesh_l4, params):
     u = sample(params, mesh_l4)
     f = fit_mobius(u)
@@ -165,6 +172,57 @@ def test_fit_recovers_exact_sample(mesh_l4, params):
     assert min(np.linalg.norm(f.quat - params.quat),
                np.linalg.norm(f.quat + params.quat)) < 1e-3
     assert fit_objective(u, f) < 1e-8
+
+
+@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.floats(0.0, 0.85))
+def test_fit_recovers_any_conformal_sample(mesh_l3, quat, direction, rho):
+    # compare sampled maps, not parameters: q and -q are the same rotation
+    direction = np.array(direction)
+    norm = np.linalg.norm(direction)
+    quat = np.array(quat)
+    assume(norm > 1e-3 and np.linalg.norm(quat) > 1e-3)
+    m = MobiusParams(quat, rho * direction / norm)
+    u = sample(m, mesh_l3)
+    assert np.abs(sample(fit_mobius(u), mesh_l3).values - u.values).max() < 1e-8
+
+
+def _chart_point(params):
+    """The solver chart x = (q, b) of params: b = a / sqrt(A^2 - |a|^2)."""
+    a = params.a
+    return np.concatenate([params.quat,
+                           a / math.sqrt(A_NORM_MAX**2 - float(a @ a))])
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh_l3", "mesh_l4"])
+def test_fit_jacobian_matches_central_differences(request, mesh_name):
+    mesh = request.getfixturevalue(mesh_name)
+    u = perturbed(mesh, eps=0.1, seed=0, mobius=BASE)
+    start = np.concatenate([rigidity._procrustes_quat(mesh, u.values), np.zeros(3)])
+    generic = np.array([0.7, -0.4, 1.3, 0.2, 0.5, -0.8, 0.3])
+    for x in [start, generic, *map(_chart_point, STRONG)]:
+        jac = fit_jacobian(u, x)
+        assert jac.shape == (3 * mesh.n_vertices, 7)
+        h = 1e-6
+        fd = np.stack([(fit_residuals(u, rigidity._params_from_x(x + h * e))
+                        - fit_residuals(u, rigidity._params_from_x(x - h * e)))
+                       / (2 * h) for e in np.eye(7)], axis=1)
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_fit_of_a_flow_limit_takes_few_residual_evaluations(mesh_l4, monkeypatch):
+    u = perturbed(mesh_l4, eps=0.2, seed=0, mobius=BASE)
+    v, _ = run_flow(balance(u).balanced, default_flow_config(mesh_l4), degree=1)
+    calls = []
+
+    def counted(u, params):
+        calls.append(params)
+        return fit_residuals(u, params)
+
+    monkeypatch.setattr(rigidity, "fit_residuals", counted)
+    fit_mobius(v)
+    # about 55 with scipy's 2-point Jacobian, a handful with the closed form
+    assert 0 < len(calls) < 30
 
 
 def test_fit_identity(mesh_l3):
@@ -276,6 +334,9 @@ def test_verify_perturbed_case(mesh_l5):
     assert d["balance_residual"] <= 1e-6
     assert d["flow_dt_halvings"] == rep.trace.dt_halvings == 0
     assert d["flow_degree_monitored"] is True
+    assert d["stage_s"] == rep.stage_s
+    assert set(rep.stage_s) == {"balance", "flow", "fit"}
+    assert all(t >= 0.0 for t in rep.stage_s.values())
 
 
 def test_verify_reports_failed_fit(mesh_l3, monkeypatch):

@@ -13,7 +13,7 @@ right starting point for the flow: its center of mass stays small, which is
 what rules out concentration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class BalanceResult:
     residual: float
     iterations: int
     balanced: SphereMap           # u o phi_{a_star}
-    path: list = field(default_factory=list)
 
 
 def center_functional(u, a):
@@ -70,7 +69,6 @@ def balance(u, tol=1e-6, max_iter=60):
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
     a_max = max_pullback_radius(u.mesh)
-    path = []
     best_a, best_res, best_v = np.zeros(3), float("inf"), None
     iters = 0
 
@@ -81,14 +79,12 @@ def balance(u, tol=1e-6, max_iter=60):
         phi, jac, v, _ = _center_jet(u, a)
         faces = None
         res = float(np.linalg.norm(phi))
-        path.append(a.copy())
         if res < best_res:
             best_a, best_res, best_v = a.copy(), res, v
         stagnated = False
         while iters < max_iter and not stagnated:
             if res <= tol:
-                return BalanceResult(a_star=a, residual=res, iterations=iters,
-                                     balanced=v, path=path)
+                return BalanceResult(a_star=a, residual=res, iterations=iters, balanced=v)
             iters += 1
             try:
                 d = np.linalg.solve(jac, -phi)
@@ -102,7 +98,6 @@ def balance(u, tol=1e-6, max_iter=60):
                 if cand_res < res:
                     a, res = cand, cand_res
                     phi, jac, v, faces = jet
-                    path.append(a.copy())
                     if res < best_res:
                         best_a, best_res, best_v = a.copy(), res, v
                     break
@@ -110,8 +105,7 @@ def balance(u, tol=1e-6, max_iter=60):
             else:
                 stagnated = True  # no decrease at any step length: reseed
         if res <= tol:
-            return BalanceResult(a_star=a, residual=res, iterations=iters,
-                                 balanced=v, path=path)
+            return BalanceResult(a_star=a, residual=res, iterations=iters, balanced=v)
         if iters >= max_iter:
             break
 
@@ -119,4 +113,4 @@ def balance(u, tol=1e-6, max_iter=60):
         f"no parameter with |Phi| <= {tol:g} found in {iters} iterations "
         f"(best residual {best_res:.3e})",
         best=BalanceResult(a_star=best_a, residual=best_res, iterations=iters,
-                           balanced=best_v, path=path))
+                           balanced=best_v))

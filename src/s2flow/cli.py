@@ -115,18 +115,18 @@ def _add_flow_flags(sub):
     sub.add_argument("--record-every", type=int, dest="record_every")
 
 
-def _triple(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return np.array(parts)
-
-
-def _quad(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated numbers")
-    return np.array(parts)
+def _floats(count=None):
+    """argparse type: comma-separated numbers, exactly `count` of them if set."""
+    def floats(text):
+        try:
+            parts = tuple(float(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated numbers, got {text!r}")
+        if count is not None and len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers")
+        return parts
+    return floats
 
 
 def _scenario_from_args(args):
@@ -212,8 +212,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     level = args.level if args.level is not None else 4
-    eps_values = (tuple(float(e) for e in args.eps_list.split(","))
-                  if args.eps_list is not None else (0.02, 0.05, 0.1, 0.2))
+    eps_values = args.eps_list if args.eps_list is not None else (0.02, 0.05, 0.1, 0.2)
     seeds = args.seeds_per_eps if args.seeds_per_eps is not None else 5
     base_seed = args.base_seed if args.base_seed is not None else 2026
     family = standard_family(level, eps_values=eps_values,
@@ -267,8 +266,8 @@ def _build_parser():
     gen.add_argument("--seed", type=int)
     gen.add_argument("--eps", type=float)
     gen.add_argument("--k", type=int)
-    gen.add_argument("--a", type=_triple, help="dilation vector ax,ay,az")
-    gen.add_argument("--quat", type=_quad, help="rotation quaternion w,x,y,z")
+    gen.add_argument("--a", type=_floats(3), help="dilation vector ax,ay,az")
+    gen.add_argument("--quat", type=_floats(4), help="rotation quaternion w,x,y,z")
     gen.add_argument("--a-norm", type=float, dest="a_norm",
                      help="|a| for concentrated_unbalanced")
     gen.add_argument("--out", required=True)
@@ -305,7 +304,7 @@ def _build_parser():
 
     swp = subs.add_parser("sweep", help="rigidity pipeline across a scenario family")
     swp.add_argument("--level", type=int)
-    swp.add_argument("--eps-list", dest="eps_list",
+    swp.add_argument("--eps-list", dest="eps_list", type=_floats(),
                      help="comma-separated perturbation sizes")
     swp.add_argument("--seeds-per-eps", type=int, dest="seeds_per_eps")
     swp.add_argument("--base-seed", type=int, dest="base_seed")

@@ -256,18 +256,17 @@ _BARY_TOL = 1e-12
 def locate_batch(mesh, points, starts=None):
     """Locate many points by lockstep adjacency walks; returns (faces, bary).
 
-    Walks start on `starts` (one face per point, or one for all) or, without
-    them, on a face of the mesh vertex nearest each point, a few steps from
-    its own face.  They step across the edge opposite the most negative
-    coordinate and fall back to a brute-force scan for any query that fails
-    to settle.
+    Walks start on `starts` (one face per point) or, without them, on a face
+    of the mesh vertex nearest each point, a few steps from its own face.
+    They step across the edge opposite the most negative coordinate and fall
+    back to a brute-force scan for any query that fails to settle.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     if starts is None:
         face = mesh._vertex_face[mesh.vertex_tree.query(pts)[1]]
     else:
-        face = np.array(np.broadcast_to(starts, (n,)), dtype=np.int64)
+        face = np.array(starts, dtype=np.int64)
     prev = np.full(n, -1, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     out_face = np.empty(n, dtype=np.int64)
@@ -323,11 +322,9 @@ def _locate_brute(mesh, pts):
     return out_face, out_bary
 
 
-def locate(mesh, p, hint=None):
+def locate(mesh, p):
     """Face index and unnormalized barycentric coordinates containing p."""
-    p = np.asarray(p, dtype=float)
-    starts = None if hint is None else np.asarray([hint])
-    face, bary = locate_batch(mesh, p[None, :], starts)
+    face, bary = locate_batch(mesh, np.asarray(p, dtype=float)[None, :])
     return int(face[0]), bary[0]
 
 
@@ -341,9 +338,9 @@ def _unit_blend(vals):
     return vals / norms[:, None], norms
 
 
-def interpolate_batch(mesh, field, points, starts=None):
+def interpolate_batch(mesh, field, points):
     """Barycentric interpolation of a unit-vector field, renormalized."""
-    face, bary = locate_batch(mesh, points, starts)
+    face, bary = locate_batch(mesh, points)
     w = bary / bary.sum(axis=1, keepdims=True)
     return _unit_blend(np.einsum("nk,nkc->nc", w, field[mesh.faces[face]]))[0]
 
@@ -370,14 +367,12 @@ def interpolate_jet(mesh, field, points, starts=None):
     return vals, face, ds / norms[:, None, None]
 
 
-def locate_and_interpolate(mesh, field, p, hint=None):
+def locate_and_interpolate(mesh, field, p):
     """Interpolate `field` at a single unit vector p; returns a unit vector."""
     p = np.asarray(p, dtype=float)
     if not abs(np.linalg.norm(p) - 1.0) <= 1e-12:  # refuses NaN and inf too
         raise ValueError("query point must be a unit vector")
-    starts = None if hint is None else np.asarray([hint])
-    return interpolate_batch(mesh, np.asarray(field, dtype=float),
-                             p[None, :], starts)[0]
+    return interpolate_batch(mesh, np.asarray(field, dtype=float), p[None, :])[0]
 
 
 # --- plain-text export ----------------------------------------------------
@@ -393,7 +388,10 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Inverse of write_mesh (levels are rebuilt, geometry cross-checked)."""
+    """Inverse of write_mesh (levels are rebuilt, geometry cross-checked).
+
+    Any file that is not a valid mesh raises FileFormatError naming the path.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     try:
@@ -407,4 +405,11 @@ def read_mesh(path):
         faces = np.array([[int(t) for t in lines[1 + n_v + i].split()] for i in range(n_f)])
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad vertex/face line ({exc})")
-    return TriMesh(level, verts, faces)
+    if verts.shape != (n_v, 3) or faces.shape != (n_f, 3):
+        raise FileFormatError(f"{path}: every vertex and face line needs 3 entries")
+    if faces.min() < 0 or faces.max() >= n_v:
+        raise FileFormatError(f"{path}: face index outside [0, {n_v})")
+    try:
+        return TriMesh(level, verts, faces)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: inconsistent mesh ({exc})")

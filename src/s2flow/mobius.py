@@ -115,24 +115,25 @@ def eval_phi(a, x):
     return out[0] if single else out
 
 
-def eval_phi_jacobian(a, x):
-    """Derivative of phi_a(x) in a: [..., i, j] = d phi_i / d a_j.
+def eval_phi_jet(a, x):
+    """(phi, dphi_da): phi_a(x) and its derivative in a, [..., i, j] = d phi_i / d a_j.
 
     Differentiating the closed form of eval_phi with D = |x + a|^2,
         d phi / da = [2(1 + <a,x>) I + 2 a x^T - 2 x a^T - 2 phi (x + a)^T] / D,
-    which is 2(I - x x^T) at a = 0.  Shape (3, 3) for one point, else (n, 3, 3).
+    which is 2(I - x x^T) at a = 0.  phi is eval_phi(a, x); the derivative
+    has shape (3, 3) for one point, else (n, 3, 3).
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    phi = np.atleast_2d(eval_phi(a, pts))
+    phi = eval_phi(a, pts)
     ax = pts @ a
     jac = (2.0 * (1.0 + ax))[:, None, None] * np.eye(3)
     jac += 2.0 * (a[None, :, None] * pts[:, None, :] - pts[:, :, None] * a[None, None, :])
     jac -= 2.0 * phi[:, :, None] * (pts + a)[:, None, :]
     jac /= (1.0 + 2.0 * ax + float(a @ a))[:, None, None]
-    return jac[0] if single else jac
+    return (phi[0], jac[0]) if single else (phi, jac)
 
 
 def eval_mobius(params, x):
@@ -143,22 +144,16 @@ def eval_mobius(params, x):
 def conformal_factor(params, x):
     """Pointwise stretch mu of the map at domain points x.
 
-    With c = <x, a/|a|>:  mu = 2 lambda / ((lambda^2 - 1) c + lambda^2 + 1),
-    which runs from 1/lambda at the attracting fixed point to lambda at the
-    repelling one.  Rotations are isometries and leave mu unchanged.
-    The Dirichlet density of the map is 2 mu^2.
+    mu = (1 - |a|^2) / |x + a|^2, with eval_phi's denominator
+    1 + 2<a,x> + |a|^2 for |x + a|^2.  It runs from 1/lambda at the
+    attracting fixed point to lambda at the repelling one, and is exactly 1
+    at a = 0.  Rotations are isometries and leave mu unchanged.  The
+    Dirichlet density of the map is 2 mu^2.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    rho = float(np.linalg.norm(params.a))
-    if rho == 0.0:
-        out = np.ones(len(pts))
-    else:
-        lam = dilation_factor(params.a)
-        c = pts @ (params.a / rho)
-        out = 2.0 * lam / ((lam * lam - 1.0) * c + lam * lam + 1.0)
-    return float(out[0]) if single else out
+    a = params.a
+    rho_sq = float(a @ a)
+    out = (1.0 - rho_sq) / (1.0 + 2.0 * (np.atleast_2d(x) @ a) + rho_sq)
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def sample(params, mesh):
@@ -215,9 +210,9 @@ def pullback_jet(u, a, starts=None):
     a = np.asarray(a, dtype=float)
     mesh = u.mesh
     _check_pullback(mesh, a, LAMBDA_H_LIMIT)
-    vals, faces, dv_dp = interpolate_jet(mesh, u.values, eval_phi(a, mesh.vertices),
-                                         starts)
-    dv_da = np.einsum("nij,njk->nik", dv_dp, eval_phi_jacobian(a, mesh.vertices))
+    phi, dphi_da = eval_phi_jet(a, mesh.vertices)
+    vals, faces, dv_dp = interpolate_jet(mesh, u.values, phi, starts)
+    dv_da = np.einsum("nij,njk->nik", dv_dp, dphi_da)
     return SphereMap(mesh, vals), faces, dv_da
 
 

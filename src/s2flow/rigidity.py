@@ -42,9 +42,8 @@ from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
                      l2_dist_sq, l2_norm_sq, mean, tension)
 from .flow import FlowConfig, run_flow
 from .mesh import build_icosphere
-from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, eval_phi,
-                     eval_phi_jacobian, params_to_line, quat_from_matrix,
-                     sample)
+from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, eval_phi_jet,
+                     params_to_line, quat_from_matrix, sample)
 from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
@@ -203,8 +202,9 @@ def fit_jacobian(u, x):
 
     With r_i = w_i mu_i (u_i - R phi_a(x_i)), w_i = sqrt(2 A_i):
       - in q: R depends on q/|q|, so dR/dq = dR/dq^ . (I - q^ q^T) / |q|;
-      - in a: dphi/da is mobius.eval_phi_jacobian, and the stretch
-        mu = (1 - |a|^2) / |x + a|^2 has dmu/da = -2 (a + mu (x + a)) / |x + a|^2;
+      - in a: phi_a and dphi/da come from one mobius.eval_phi_jet call, and
+        the stretch mu = conformal_factor = (1 - |a|^2) / |x + a|^2 has
+        dmu/da = -2 mu (a + mu (x + a)) / (1 - |a|^2);
       - in b: da/db = A_NORM_MAX (I - b b^T / (1 + |b|^2)) / sqrt(1 + |b|^2).
     `sample`'s renormalization contributes nothing, since |R phi_a| = 1.
     The columns are built in a (7, V, 3) array; the result is its transposed
@@ -215,10 +215,8 @@ def fit_jacobian(u, x):
     params = _params_from_x(x)
     qhat, a, rot = params.quat, params.a, params.rotation
     pts = mesh.vertices
-    phi = eval_phi(a, pts)
-    xa = pts + a
-    dist_sq = np.einsum("ij,ij->i", xa, xa)
-    mu = (1.0 - float(a @ a)) / dist_sq
+    phi, dphi_da = eval_phi_jet(a, pts)
+    mu = conformal_factor(params, pts)
     w = np.sqrt(2.0 * mesh.vertex_areas)
     wmu = (w * mu)[:, None]
     s = math.sqrt(1.0 + float(b @ b))
@@ -226,9 +224,10 @@ def fit_jacobian(u, x):
     dr_dq = np.einsum("lij,lk->kij", _quat_matrix_partials(qhat),
                       (np.eye(4) - np.outer(qhat, qhat)) / np.linalg.norm(q))
     # one (3V, 3) product: a batched (3, 3) matmul per vertex is far slower
-    dphi_db = (eval_phi_jacobian(a, pts).reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
+    dphi_db = (dphi_da.reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
     diff = u.values - phi @ rot.T
-    dmu_db = (-2.0 * (a + mu[:, None] * xa) / dist_sq[:, None]) @ da_db
+    dmu_db = (-2.0 * mu[:, None] * (a + mu[:, None] * (pts + a))
+              / (1.0 - float(a @ a))) @ da_db
 
     jac = np.empty((7, len(pts), 3))
     for k in range(4):  # -w mu dR/dq_k phi

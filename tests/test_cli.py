@@ -123,6 +123,27 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_sweep_refuses_a_bad_eps_list(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--level", "2", "--eps-list", "x"])
+    assert exc.value.code == 2
+    assert "--eps-list" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps_list": "x"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--level", "2", "--config", str(cfg)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "'eps_list'" in out.err
+    assert out.out == ""
+    # a string value is parsed like the flag's text
+    cfg.write_text(json.dumps({"eps_list": "0.1,0.2"}))
+    rc, out, _ = run_cli(capsys, "sweep", "--level", "2", "--seeds-per-eps", "1",
+                         "--config", str(cfg))
+    assert rc == 0
+    assert last_json(out)["n_cases"] == 2
+
+
 def test_sweep_rejects_zero_jobs(capsys):
     rc, _, err = run_cli(capsys, "sweep", "--level", "2", "--jobs", "0")
     assert rc == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from s2flow.errors import DegreeUnresolvedError, FileFormatError
 from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
@@ -9,6 +10,7 @@ from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
                            l2_dist_sq, l2_norm_sq, load_map, local_energy,
                            mean, save_map, tension)
 from s2flow.mobius import MobiusParams, sample
+from s2flow.scenarios import ScenarioSpec, generate
 
 
 def test_identity_energy_equals_area(mesh_l4):
@@ -30,6 +32,32 @@ def test_energy_rotation_invariance(mesh_l4):
     u = identity_map(mesh_l4)
     ru = SphereMap(mesh_l4, u.values @ params.rotation.T)
     assert energy(ru) == pytest.approx(energy(u), rel=1e-13)
+
+
+@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.sampled_from(["perturbed_mobius", "rational_k"]),
+       st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.floats(0.0, 0.6),
+       st.floats(0.0, 0.3), st.integers(0, 10**6))
+def test_target_rotation_keeps_energy_tension_and_degree(mesh_l3, quat, kind, k,
+                                                         direction, rho, eps, seed):
+    # |R u_i - R u_j| = |u_i - u_j| and tension(R u) = R tension(u), so the
+    # discrete quantities agree up to rounding
+    assume(np.linalg.norm(quat) > 0.1)
+    if kind == "rational_k":
+        spec = ScenarioSpec(kind=kind, level=3, k=k)
+    else:
+        direction = np.array(direction)
+        norm = np.linalg.norm(direction)
+        a = rho * direction / norm if norm > 0.1 else np.zeros(3)
+        spec = ScenarioSpec(kind=kind, level=3, seed=seed, eps=eps,
+                            mobius=MobiusParams(np.array([0.8, 0.2, -0.4, 0.4]), a))
+    u = generate(spec, mesh_l3)
+    rot = MobiusParams(np.array(quat), np.zeros(3)).rotation
+    ru = SphereMap(mesh_l3, u.values @ rot.T)
+    assert energy(ru) == pytest.approx(energy(u), rel=1e-12)
+    assert l2_norm_sq(tension(ru)) == pytest.approx(l2_norm_sq(tension(u)), rel=1e-11)
+    assert degree(ru) == degree(u)
 
 
 def test_degree_identity_antipodal(mesh_l3):

@@ -280,3 +280,33 @@ def test_read_mesh_rejects_garbage(tmp_path):
     path.write_text("2 42 80\n0 0 1\n")
     with pytest.raises(FileFormatError):
         read_mesh(str(path))
+
+
+def _set_line(index, text):
+    def edit(lines):
+        lines[index] = text
+    return edit
+
+
+def _two_entry_faces(lines):
+    for i in range(1 + 42, len(lines)):
+        lines[i] = lines[i].rsplit(" ", 1)[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_line(0, "2 42 80"), "does not match level"),   # level-2 header, level-1 body
+    (_set_line(1, "0 0 1.5"), "unit sphere"),            # a vertex off the sphere
+    (_set_line(-1, "0 1 99"), "outside"),                # face index 99 of 42 vertices
+    (_set_line(-1, "0 1 -1"), "outside"),
+    (_two_entry_faces, "3 entries"),
+])
+def test_read_mesh_refuses_inconsistent_files(tmp_path, edit, message):
+    # each file is well formed line by line; at level 1 there are 42 vertices
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_icosphere(1), str(path))
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=message) as exc:
+        read_mesh(str(path))
+    assert str(path) in str(exc.value)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from s2flow.errors import ParameterDomainError, PullbackUnderresolvedError
 from s2flow.fields import FOUR_PI, energy, identity_map, l2_norm_sq, tension
 from s2flow.mobius import (MobiusParams, conformal_factor, dilation_factor,
-                           eval_mobius, eval_phi, eval_phi_jacobian,
+                           eval_mobius, eval_phi, eval_phi_jet,
                            max_pullback_radius, params_from_line, params_to_line,
                            pullback, pullback_jet, quat_from_matrix,
                            quat_to_matrix, sample)
@@ -95,6 +95,31 @@ def test_conformal_factor_range_and_mass(mesh_l4):
     assert mass == pytest.approx(2 * FOUR_PI, rel=2e-3)
 
 
+@pytest.mark.parametrize("a_norm", [0.2, 0.6, 0.95])
+def test_conformal_factor_matches_the_lambda_form(a_norm, mesh_l4):
+    # with c = <x, a/|a|> the stretch is also 2 lam / ((lam^2 - 1) c + lam^2 + 1).
+    # Near the attracting fixed point both denominators cancel: measured
+    # against exact rational arithmetic at |a| = 0.95 either form is off by
+    # 2e-14-3e-14 there, so the bound carries the condition number of the
+    # sum 1 + 2<a,x> + |a|^2, which is 1 away from that point.
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    p = MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), a_norm * axis)
+    lam = dilation_factor(p.a)
+    c = mesh_l4.vertices @ axis
+    expected = 2.0 * lam / ((lam * lam - 1.0) * c + lam * lam + 1.0)
+    mu = conformal_factor(p, mesh_l4.vertices)
+    ax = mesh_l4.vertices @ p.a
+    kappa = (1.0 + 2.0 * np.abs(ax) + a_norm**2) / (1.0 + 2.0 * ax + a_norm**2)
+    assert np.all(np.abs(mu / expected - 1.0) <= 1e-14 * kappa)
+    assert conformal_factor(p, mesh_l4.vertices[7]) == pytest.approx(mu[7], rel=1e-12)
+
+
+def test_conformal_factor_is_one_without_dilation(mesh_l4):
+    p = MobiusParams(np.array([0.5, 0.5, -0.5, 0.5]), np.zeros(3))
+    assert np.all(conformal_factor(p, mesh_l4.vertices) == 1.0)
+    assert conformal_factor(p, mesh_l4.vertices[3]) == 1.0
+
+
 @pytest.mark.parametrize("a_norm", [0.2, 0.4, 0.6])
 def test_sample_energy_near_ground(a_norm, mesh_l4, mesh_l5, mesh_l6):
     # conformal maps sit at the energy ground level; on a mesh the sampled
@@ -143,8 +168,8 @@ def test_phi_jacobian_at_zero_is_tangent_projection():
     x = rng.standard_normal((30, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     expected = 2.0 * (np.eye(3) - x[:, :, None] * x[:, None, :])
-    assert np.abs(eval_phi_jacobian(np.zeros(3), x) - expected).max() <= 1e-15
-    assert np.abs(eval_phi_jacobian(np.zeros(3), x[0]) - expected[0]).max() <= 1e-15
+    assert np.abs(eval_phi_jet(np.zeros(3), x)[1] - expected).max() <= 1e-15
+    assert np.abs(eval_phi_jet(np.zeros(3), x[0])[1] - expected[0]).max() <= 1e-15
 
 
 def test_phi_jacobian_matches_differences():
@@ -154,7 +179,20 @@ def test_phi_jacobian_matches_differences():
     a, h = np.array([0.3, -0.2, 0.45]), 1e-6
     fd = np.stack([(eval_phi(a + h * e, x) - eval_phi(a - h * e, x)) / (2 * h)
                    for e in np.eye(3)], axis=2)
-    assert np.abs(eval_phi_jacobian(a, x) - fd).max() < 1e-8
+    assert np.abs(eval_phi_jet(a, x)[1] - fd).max() < 1e-8
+
+
+def test_phi_jet_values_are_eval_phi():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    for a in (np.zeros(3), np.array([0.3, -0.2, 0.45]), np.array([0.0, 0.0, -0.9])):
+        phi, dphi = eval_phi_jet(a, x)
+        assert np.array_equal(phi, eval_phi(a, x))
+        assert dphi.shape == (40, 3, 3)
+        one, done = eval_phi_jet(a, x[5])
+        assert one.shape == (3,) and done.shape == (3, 3)
+        assert np.array_equal(one, eval_phi(a, x[5]))
 
 
 def test_pullback_jet_at_zero_locates_the_vertices(mesh_l3):

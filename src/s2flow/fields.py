@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeUnresolvedError, FileFormatError
-from .mesh import TriMesh, build_icosphere
+from .mesh import TriMesh, build_icosphere, row_norms
 
 FOUR_PI = 4.0 * math.pi
 
@@ -28,7 +28,7 @@ class SphereMap:
         if vals.shape != (self.mesh.n_vertices, 3):
             raise ValueError(
                 f"values must have shape ({self.mesh.n_vertices}, 3), got {vals.shape}")
-        dev = np.abs(np.linalg.norm(vals, axis=1) - 1.0).max()
+        dev = np.abs(row_norms(vals) - 1.0).max()
         if dev > 1e-12:
             raise ValueError(f"values must be unit vectors (max deviation {dev:.3e})")
         vals.setflags(write=False)
@@ -47,7 +47,7 @@ class TangentField:
         if vec.shape != self.base.values.shape:
             raise ValueError("vectors must match the base map's shape")
         dots = np.abs(np.einsum("ij,ij->i", vec, self.base.values))
-        norms = np.linalg.norm(vec, axis=1)
+        norms = row_norms(vec)
         if (dots > 1e-10 * norms + 1e-300).any():
             raise ValueError("vectors must be tangent to the base map")
         vec.setflags(write=False)
@@ -82,9 +82,10 @@ def energy_and_tension(u):
     mesh = u.mesh
     k_u = mesh.stiffness @ u.values
     e = 0.5 * float(np.einsum("ij,ij->", u.values, k_u))
-    lap = -k_u / mesh.vertex_areas[:, None]
-    t = lap - np.einsum("ij,ij->i", lap, u.values)[:, None] * u.values
-    t -= np.einsum("ij,ij->i", t, u.values)[:, None] * u.values
+    t = -k_u
+    t /= mesh.vertex_areas[:, None]   # the lumped Laplacian
+    for _ in range(2):
+        t -= np.einsum("ij,ij->i", t, u.values)[:, None] * u.values
     return e, t
 
 
@@ -96,16 +97,23 @@ def energy(u):
 def edge_energies(u):
     """Per-edge terms 0.5 * w_ij |u_i - u_j|^2 of the Dirichlet energy."""
     e = u.mesh.edges
-    d = u.values[e[:, 0]] - u.values[e[:, 1]]
+    d = np.take(u.values, e[:, 0], axis=0)
+    d -= np.take(u.values, e[:, 1], axis=0)
     return 0.5 * u.mesh.edge_weights * np.einsum("ij,ij->i", d, d)
 
 
 def degree_estimate(u):
     """Raw degree estimate: summed signed solid angles of the image triangles
     over 4*pi (an integer up to quadrature error for a resolved map)."""
-    tri = u.values[u.mesh.faces]
+    tri = np.take(u.values, u.mesh.faces, axis=0)
     p, q, r = tri[:, 0], tri[:, 1], tri[:, 2]
-    num = np.einsum("ij,ij->i", p, np.cross(q, r))
+    # q x r component by component, as np.cross computes it, without its copies
+    qxr = np.empty(p.shape)
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(q[:, i], r[:, j], out=qxr[:, c])
+        qxr[:, c] -= q[:, j] * r[:, i]
+    num = np.einsum("ij,ij->i", p, qxr)
     den = 1.0 + np.einsum("ij,ij->i", p, q) + np.einsum("ij,ij->i", q, r) \
         + np.einsum("ij,ij->i", r, p)
     return float(np.arctan2(num, den).sum() / (2.0 * math.pi))
@@ -211,7 +219,7 @@ def load_map(path, mesh=None):
             vals[i] = [float(t) for t in toks]
         except ValueError:
             raise FileFormatError(f"{path}:{i + 2}: bad float literal")
-    norms = np.linalg.norm(vals, axis=1)
+    norms = row_norms(vals)
     bad = np.abs(norms - 1.0) > 1e-6
     if bad.any():
         row = int(np.flatnonzero(bad)[0])

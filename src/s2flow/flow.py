@@ -29,6 +29,7 @@ from .errors import (CertificateError, DegreeUnresolvedError,
                      StepDegenerateError)
 from .fields import (FOUR_PI, SphereMap, degree, edge_energies,
                      energy_and_tension, l2_dist_sq, l2_norm_sq, mean)
+from .mesh import row_norms
 
 SCHEMES = ("explicit", "semi-implicit")
 
@@ -105,11 +106,13 @@ class _State:
 
 
 def _normalize_step(vals):
-    norms = np.linalg.norm(vals, axis=1)
+    """The rows of `vals` normalized in place."""
+    norms = row_norms(vals)
     if norms.min() < 1e-6:
         raise StepDegenerateError(
             "step produced a vector shorter than 1e-6; reduce dt")
-    return vals / norms[:, None]
+    vals /= norms[:, None]
+    return vals
 
 
 def _dissect(coords, verts, i, j, side, out):
@@ -183,8 +186,11 @@ def _advance(u, state, dt, scheme):
     # np.take gathers faster than fancy indexing and returns C order
     sol = np.take(lu.solve(np.take(rhs, order, axis=0)), inverse, axis=0)
     # (M + dt K) sol - rhs, without assembling M + dt K a second time
-    resid = np.linalg.norm(mesh.vertex_areas[:, None] * sol
-                           + dt * (mesh.stiffness @ sol) - rhs) / np.linalg.norm(rhs)
+    r = mesh.stiffness @ sol
+    r *= dt
+    r += mesh.vertex_areas[:, None] * sol
+    r -= rhs
+    resid = np.linalg.norm(r) / np.linalg.norm(rhs)
     if resid > SOLVE_RTOL:
         raise SolverError(f"semi-implicit solve residual {resid:.2e} > {SOLVE_RTOL}")
     return SphereMap(mesh, _normalize_step(sol))

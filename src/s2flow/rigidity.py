@@ -97,9 +97,8 @@ def sup_gradient(u):
     """Max over faces of |Du| for the piecewise-affine interpolant of u."""
     mesh = u.mesh
     cots, f, vals = mesh.face_cotangents, mesh.faces, u.values
-    d0 = vals[f[:, 1]] - vals[f[:, 2]]
-    d1 = vals[f[:, 2]] - vals[f[:, 0]]
-    d2 = vals[f[:, 0]] - vals[f[:, 1]]
+    v0, v1, v2 = (np.take(vals, f[:, k], axis=0) for k in range(3))
+    d0, d1, d2 = v1 - v2, v2 - v0, v0 - v1
     per_face = 0.5 * (cots[:, 0] * np.einsum("ij,ij->i", d0, d0)
                       + cots[:, 1] * np.einsum("ij,ij->i", d1, d1)
                       + cots[:, 2] * np.einsum("ij,ij->i", d2, d2))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fields import SphereMap, identity_map
+from .mesh import row_norms
 from .mobius import MobiusParams, pullback, sample
 
 KINDS = ("mobius", "rational_k", "perturbed_mobius", "concentrated_unbalanced")
@@ -86,7 +87,7 @@ def _rational_k(mesh, k):
     vals = np.stack([2.0 * w.real / d, 2.0 * w.imag / d,
                      (np.abs(w) ** 2 - 1.0) / d], axis=1)
     vals[pole] = (0.0, 0.0, 1.0)
-    vals /= np.linalg.norm(vals, axis=1)[:, None]
+    vals /= row_norms(vals)[:, None]
     return SphereMap(mesh, vals)
 
 
@@ -107,12 +108,12 @@ def _perturb(base, eps, rng):
     raw[:, 2] = c[2] * x[:, 0]
     v = base.values
     w = raw - np.einsum("ij,ij->i", raw, v)[:, None] * v
-    peak = np.linalg.norm(w, axis=1).max()
+    peak = row_norms(w).max()
     if peak < 1e-12:
         raise ParameterDomainError("degenerate perturbation draw")
     w /= peak
     vals = v + eps * w
-    vals /= np.linalg.norm(vals, axis=1)[:, None]
+    vals /= row_norms(vals)[:, None]
     return SphereMap(base.mesh, vals)
 
 

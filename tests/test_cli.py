@@ -69,6 +69,17 @@ def test_domain_error_is_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--a", "nan,0,0"), ("--quat", "nan,0,0,1"),
+                                         ("--a", "inf,0,0")])
+def test_non_finite_mobius_parameters_are_exit_one(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "m.txt"
+    rc, _, err = run_cli(capsys, "generate", "--kind", "mobius", "--level", "1",
+                         flag, value, "--out", str(out_path))
+    assert rc == 1
+    assert "error:" in err
+    assert not out_path.exists()
+
+
 def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -6,9 +6,10 @@ from hypothesis import assume, given, strategies as st
 
 from s2flow.errors import DegreeUnresolvedError, FileFormatError
 from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
-                           degree, dirichlet_diff, energy, identity_map,
-                           l2_dist_sq, l2_norm_sq, load_map, local_energy,
-                           mean, save_map, tension)
+                           degree, degree_estimate, dirichlet_diff,
+                           edge_energies, energy, identity_map, l2_dist_sq,
+                           l2_norm_sq, load_map, local_energy, mean, save_map,
+                           tension)
 from s2flow.mobius import MobiusParams, sample
 from s2flow.scenarios import ScenarioSpec, generate
 
@@ -58,6 +59,38 @@ def test_target_rotation_keeps_energy_tension_and_degree(mesh_l3, quat, kind, k,
     assert energy(ru) == pytest.approx(energy(u), rel=1e-12)
     assert l2_norm_sq(tension(ru)) == pytest.approx(l2_norm_sq(tension(u)), rel=1e-11)
     assert degree(ru) == degree(u)
+
+
+def _edge_energies_oracle(u):
+    e = u.mesh.edges
+    d = u.values[e[:, 0]] - u.values[e[:, 1]]
+    return 0.5 * u.mesh.edge_weights * np.einsum("ij,ij->i", d, d)
+
+
+def _degree_estimate_oracle(u):
+    tri = u.values[u.mesh.faces]
+    p, q, r = tri[:, 0], tri[:, 1], tri[:, 2]
+    num = np.einsum("ij,ij->i", p, np.cross(q, r))
+    den = 1.0 + np.einsum("ij,ij->i", p, q) + np.einsum("ij,ij->i", q, r) \
+        + np.einsum("ij,ij->i", r, p)
+    return float(np.arctan2(num, den).sum() / (2.0 * math.pi))
+
+
+@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.floats(0.0, 0.6),
+       st.floats(0.0, 0.5), st.integers(0, 10**6))
+def test_gather_kernels_bitwise_match_fancy_index_oracles(mesh_l3, quat, direction,
+                                                          rho, eps, seed):
+    # np.take gathers and the component-wise cross product do the same
+    # arithmetic as fancy indexing and np.cross, so every bit agrees
+    assume(np.linalg.norm(quat) > 0.1)
+    direction = np.array(direction)
+    norm = np.linalg.norm(direction)
+    a = rho * direction / norm if norm > 0.1 else np.zeros(3)
+    u = generate(ScenarioSpec(kind="perturbed_mobius", level=3, seed=seed, eps=eps,
+                              mobius=MobiusParams(np.array(quat), a)), mesh_l3)
+    assert edge_energies(u).tobytes() == _edge_energies_oracle(u).tobytes()
+    assert degree_estimate(u) == _degree_estimate_oracle(u)
 
 
 def test_degree_identity_antipodal(mesh_l3):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import s2flow.mesh as mesh_mod
 from s2flow.errors import FileFormatError, ResourceLimitError
@@ -10,7 +11,7 @@ from s2flow.fields import FOUR_PI
 from s2flow.mesh import (_locate_brute, build_icosphere, geodesic_distance,
                          interpolate_batch, interpolate_jet, laplacian_apply,
                          locate, locate_and_interpolate, locate_batch,
-                         read_mesh, write_mesh)
+                         read_mesh, row_norms, write_mesh)
 from s2flow.mobius import eval_phi
 
 
@@ -99,6 +100,20 @@ def test_laplacian_of_coordinates_converges():
         assert err < bound
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
+
+
+# zeros, and magnitudes from 1e-150 to 1e150: squares that underflow to
+# subnormals or zero, and sums near the top of the float range
+_ROW_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-150, 150)))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(5)), elements=_ROW_ENTRIES))
+def test_row_norms_is_bitwise_linalg_norm(block):
+    # contiguous rows, every other row, and a column window of wider rows
+    for x in (np.ascontiguousarray(block[:, :3]), block[::2, 1:4], block[:, 2:]):
+        assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 def test_geodesic_distance_matches_arccos():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from s2flow.errors import ParameterDomainError, PullbackUnderresolvedError
 from s2flow.fields import FOUR_PI, energy, identity_map, l2_norm_sq, tension
@@ -11,6 +11,7 @@ from s2flow.mobius import (MobiusParams, conformal_factor, dilation_factor,
                            max_pullback_radius, params_from_line, params_to_line,
                            pullback, pullback_jet, quat_from_matrix,
                            quat_to_matrix, sample)
+from s2flow.scenarios import ScenarioSpec, generate
 
 
 def test_dilation_factor_values():
@@ -74,6 +75,16 @@ def test_params_validation():
         MobiusParams(np.array([1.0, 0, 0, 0]), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ParameterDomainError):
         MobiusParams(np.zeros(4), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_refused(bad):
+    with pytest.raises(ParameterDomainError):
+        MobiusParams(np.array([1.0, 0, 0, 0]), np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ParameterDomainError):
+        MobiusParams(np.array([bad, 0, 0, 0]), np.zeros(3))
+    with pytest.raises(ParameterDomainError):
+        eval_phi(np.array([0.0, bad, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 def test_params_line_round_trip():
@@ -204,9 +215,59 @@ def test_pullback_jet_at_zero_locates_the_vertices(mesh_l3):
     assert dv_da.shape == (mesh_l3.n_vertices, 3, 3)
 
 
+def _eval_phi_jet_oracle(a, pts):
+    # the point-major (n, 3, 3) build of the same closed form
+    phi = eval_phi(a, pts)
+    ax = pts @ a
+    jac = (2.0 * (1.0 + ax))[:, None, None] * np.eye(3)
+    jac += 2.0 * (a[None, :, None] * pts[:, None, :] - pts[:, :, None] * a[None, None, :])
+    jac -= 2.0 * phi[:, :, None] * (pts + a)[:, None, :]
+    jac /= (1.0 + 2.0 * ax + float(a @ a))[:, None, None]
+    return jac
+
+
+@given(st.floats(0.0, 0.95), st.integers(0, 10**6))
+def test_phi_jet_bitwise_matches_point_major_build(mesh_l3, rho, seed):
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(3)
+    a = rho * axis / np.linalg.norm(axis)
+    jac = eval_phi_jet(a, mesh_l3.vertices)[1]
+    assert jac.flags.c_contiguous
+    assert jac.tobytes() == _eval_phi_jet_oracle(a, mesh_l3.vertices).tobytes()
+
+
+@given(st.sampled_from([3, 4]), st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.floats(0.0, 1.0),
+       st.floats(0.0, 0.2), st.integers(0, 10**6))
+def test_pullback_by_minus_a_undoes_pullback_by_a(mesh_l3, mesh_l4, level, quat,
+                                                  direction, frac, eps, seed):
+    # phi_{-a} inverts phi_a, so the round trip only adds interpolation
+    # error: second order in the effective mesh scale lambda h of the
+    # dilated map (measured at most 0.17 (lambda h)^2 at L3 and L4)
+    assume(np.linalg.norm(quat) > 0.1 and np.linalg.norm(direction) > 0.1)
+    mesh = mesh_l3 if level == 3 else mesh_l4
+    direction = np.array(direction)
+    a = frac * max_pullback_radius(mesh) * direction / np.linalg.norm(direction)
+    u = generate(ScenarioSpec(kind="perturbed_mobius", level=level, seed=seed, eps=eps,
+                              mobius=MobiusParams(np.array(quat), 0.3 * a)), mesh)
+    back = pullback(pullback(u, a), -a)
+    lam_h = dilation_factor(a) * mesh.mean_edge_length
+    assert np.linalg.norm(back.values - u.values, axis=1).max() <= 0.5 * lam_h ** 2
+
+
 def test_max_pullback_radius_grows_with_level(mesh_l3, mesh_l4, mesh_l5):
     radii = [max_pullback_radius(m) for m in (mesh_l3, mesh_l4, mesh_l5)]
     assert radii[0] < radii[1] < radii[2] < 1.0
+
+
+def test_guard_admits_max_pullback_radius_in_every_direction(mesh_l3, mesh_l4, mesh_l5):
+    # balance projects its iterates onto this radius, so rounding in |a| or
+    # lambda must not push a vector of that length past the guard
+    rng = np.random.default_rng(5)
+    for mesh in (mesh_l3, mesh_l4, mesh_l5):
+        u, radius = identity_map(mesh), max_pullback_radius(mesh)
+        for d in rng.standard_normal((20, 3)):
+            pullback(u, radius * d / np.linalg.norm(d))
 
 
 def test_rotation_applied_after_dilation():

@@ -1,37 +1,43 @@
 """Center-of-mass balancing by pre-composition with axial dilations.
 
 For a degree-one map u the functional Phi(a) = mean(u o phi_a) is onto a
-neighborhood of zero, so a damped Newton iteration finds a parameter a* with
-|Phi(a*)| below tolerance.  The Jacobian is the exact derivative of the
-discrete functional: the area-weighted mean of the chain rule
-du/dp . dphi_a/da over the located pullback (mobius.pullback_jet), so each
-Newton step costs one located pullback.  The first step from a seed moves
-every query the whole way towards a*, so it locates cold, from the nearest
-mesh vertex; later steps move little and warm-start from the faces of the
-last accepted iterate.  The balanced representative u o phi_{a*} is the
-right starting point for the flow: its center of mass stays small, which is
-what rules out concentration.
+neighborhood of zero, so Newton's method finds a parameter a* with
+|Phi(a*)| below tolerance.  Because phi_a is conformal with inverse
+phi_{-a}, changing variables gives Hersch's conformal centre of mass
+
+    Phi(a) = avg over y of u(y) mu_{-a}(y)^2,
+
+mu_{-a} being the stretch of phi_{-a} (mobius.conformal_factor).  Its
+discrete form Phi~(a) = sum_i A_i mu_{-a}(x_i)^2 u_i / sum_i A_i and the
+derivative of that sum in a are closed-form over the mesh vertices and need
+no point location; the root of Phi~ lies O(h^2) from the root of the
+located Phi.  So balancing predicts a* by damped Newton on Phi~ and then
+corrects it by a chord Newton on the located Phi, stepping with Phi~'s
+Jacobian: one located pullback per corrector step, usually two in all.  The
+balanced representative u o phi_{a*} is the right starting point for the
+flow: its center of mass stays small, which is what rules out concentration.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BalanceFailedError, PreconditionError
+from .errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
+                     PullbackUnderresolvedError)
 from .fields import SphereMap, degree, mean
-from .mobius import max_pullback_radius, pullback, pullback_jet
+from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, max_pullback_radius,
+                     pullback)
 
 MAX_HALVINGS = 8
 
-# symmetric restart seeds tried when the default start stagnates
-_SEEDS = [np.zeros(3)] + [s * 0.3 * np.eye(3)[k] for k in range(3) for s in (+1.0, -1.0)]
+_NO_ROTATION = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass
 class BalanceResult:
     a_star: np.ndarray
     residual: float
-    iterations: int
+    iterations: int               # located pullbacks (corrector steps) taken
     balanced: SphereMap           # u o phi_{a_star}
 
 
@@ -40,77 +46,84 @@ def center_functional(u, a):
     return mean(pullback(u, a))
 
 
-def _center_jet(u, a, starts=None):
-    """(Phi(a), dPhi/da, u o phi_a, located faces) from one located pullback."""
-    v, faces, dv_da = pullback_jet(u, a, starts)
-    areas = u.mesh.vertex_areas
-    return mean(v), np.einsum("n,nij->ij", areas, dv_da) / areas.sum(), v, faces
+def _conformal_center(u, a):
+    """(Phi~(a), dPhi~/da): the change-of-variables centre and its Jacobian.
+
+    Phi~(a) = sum_i w_i u_i with w_i = A_i mu_i^2 / sum A and
+    mu_i = mu_{-a}(x_i) = (1 - |a|^2) / |x_i - a|^2, whose derivative is
+        d(mu^2)/da = 4 mu^2 (mu (x - a) - a) / (1 - |a|^2).
+    """
+    mesh = u.mesh
+    x = mesh.vertices
+    mu = conformal_factor(MobiusParams(_NO_ROTATION, -a), x)
+    w = mesh.vertex_areas * mu * mu
+    w /= mesh.vertex_areas.sum()
+    dw = w[:, None] * (mu[:, None] * (x - a) - a)
+    return w @ u.values, (u.values.T @ dw) * (4.0 / (1.0 - float(a @ a)))
 
 
-def _project_ball(a, a_max):
-    n = np.linalg.norm(a)
-    if n > a_max:
-        return a * (a_max / n)
-    return a
+def _predict(u, tol, max_iter):
+    """Root of Phi~ by damped Newton from a = 0, and Phi~'s Jacobian there.
+
+    Runs to |Phi~| <= tol / 1000, far below the O(h^2) gap to the located
+    root.  Steps are halved until |Phi~| decreases inside |a| < A_NORM_MAX;
+    an undamped step overshoots the unit ball on a pure 0.6 dilation.  A
+    step that cannot decrease |Phi~| ends the prediction where it stands.
+    """
+    a = np.zeros(3)
+    phi, jac = _conformal_center(u, a)
+    res = float(np.linalg.norm(phi))
+    for _ in range(max_iter):
+        if res <= 1e-3 * tol:
+            break
+        d = np.linalg.lstsq(jac, -phi, rcond=None)[0]
+        for k in range(MAX_HALVINGS + 1):
+            cand = a + 0.5 ** k * d
+            if np.linalg.norm(cand) < A_NORM_MAX:
+                cand_phi, cand_jac = _conformal_center(u, cand)
+                cand_res = float(np.linalg.norm(cand_phi))
+                if cand_res < res:
+                    a, phi, jac, res = cand, cand_phi, cand_jac, cand_res
+                    break
+        else:
+            break
+    return a, jac
 
 
 def balance(u, tol=1e-6, max_iter=60):
     """Find a* with |center_functional(u, a*)| <= tol.
 
-    Damped Newton on the exact Jacobian of the discrete functional; iterates
-    stay inside the pullback resolution guard.  Point location is cold at
-    each seed and for the first step from it, and afterwards starts from the
-    faces of the last accepted iterate.  On stagnation the iteration
-    restarts from a small set of symmetric seeds (origin first, so among
-    nearby roots the small-|a| one is preferred).  The result carries the
-    balanced map u o phi_{a*}.  Raises BalanceFailedError carrying the best
-    iterate if the budget runs out.
+    Predicts a* as the root of the change-of-variables centre Phi~, then
+    corrects it with chord Newton steps on the located Phi, each taking one
+    `pullback` and Phi~'s Jacobian at the prediction.  `max_iter` bounds the
+    steps of each stage.  The result carries the balanced map u o phi_{a*}.
+    Raises PullbackUnderresolvedError at once when the predicted a* lies
+    beyond `max_pullback_radius`, and BalanceFailedError carrying the best
+    located iterate when the corrector stops contracting or runs out of steps.
     """
+    if max_iter < 1:
+        raise ParameterDomainError(f"max_iter must be at least 1, got {max_iter}")
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
+    a, jac = _predict(u, tol, max_iter)
     a_max = max_pullback_radius(u.mesh)
-    best_a, best_res, best_v = np.zeros(3), float("inf"), None
-    iters = 0
+    if np.linalg.norm(a) > a_max:
+        raise PullbackUnderresolvedError(
+            f"balancing needs |a| = {np.linalg.norm(a):.4f}, beyond the pullback "
+            f"guard {a_max:.4f} at level {u.mesh.level}; refine the mesh")
 
-    for seed in _SEEDS:
-        a = _project_ball(np.asarray(seed, dtype=float), a_max)
-        # the first step moves every query the whole way towards a*: from
-        # the seed's faces that walk is longer than a nearest-vertex start
-        phi, jac, v, _ = _center_jet(u, a)
-        faces = None
+    best = None
+    for it in range(1, max_iter + 1):
+        v = pullback(u, a)
+        phi = mean(v)
         res = float(np.linalg.norm(phi))
-        if res < best_res:
-            best_a, best_res, best_v = a.copy(), res, v
-        stagnated = False
-        while iters < max_iter and not stagnated:
-            if res <= tol:
-                return BalanceResult(a_star=a, residual=res, iterations=iters, balanced=v)
-            iters += 1
-            try:
-                d = np.linalg.solve(jac, -phi)
-            except np.linalg.LinAlgError:
-                d = np.linalg.lstsq(jac, -phi, rcond=None)[0]
-            scale = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                cand = _project_ball(a + scale * d, a_max)
-                jet = _center_jet(u, cand, faces)
-                cand_res = float(np.linalg.norm(jet[0]))
-                if cand_res < res:
-                    a, res = cand, cand_res
-                    phi, jac, v, faces = jet
-                    if res < best_res:
-                        best_a, best_res, best_v = a.copy(), res, v
-                    break
-                scale *= 0.5
-            else:
-                stagnated = True  # no decrease at any step length: reseed
+        if best is not None and res >= best.residual:
+            break  # the chord step no longer contracts
+        best = BalanceResult(a_star=a, residual=res, iterations=it, balanced=v)
         if res <= tol:
-            return BalanceResult(a_star=a, residual=res, iterations=iters, balanced=v)
-        if iters >= max_iter:
-            break
-
+            return best
+        a = a - np.linalg.lstsq(jac, phi, rcond=None)[0]
+    best.iterations = it
     raise BalanceFailedError(
-        f"no parameter with |Phi| <= {tol:g} found in {iters} iterations "
-        f"(best residual {best_res:.3e})",
-        best=BalanceResult(a_star=best_a, residual=best_res, iterations=iters,
-                           balanced=best_v))
+        f"no parameter with |Phi| <= {tol:g} found in {it} located pullbacks "
+        f"(best residual {best.residual:.3e})", best=best)

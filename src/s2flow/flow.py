@@ -210,7 +210,7 @@ def _concentration_operator(mesh, radius):
     row k holds the edges whose two ends satisfy <x_i, x_k> >= cos r - 1e-12.
 
     The ball pairs come from the mesh's vertex k-d tree (`vertex_tree`, which
-    also starts cold point location) at the ball's chord, padded, then
+    also starts point location) at the ball's chord, padded, then
     filtered by that exact test; C = Y B counts the ends of edge e in ball k
     (Y the membership, B the edge incidence), and the operator keeps C == 2.
     """

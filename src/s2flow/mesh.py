@@ -4,8 +4,8 @@ The mesh is the substrate for the whole lab: cotangent edge weights give the
 stiffness form (Dirichlet integrals of piecewise-linear fields), lumped
 barycentric areas give the mass weights, and central-projection barycentric
 coordinates give point location / interpolation on the curved sphere.  A
-location walks the face adjacency, starting from the given faces or, cold,
-from a face of the mesh vertex nearest the point (one k-d tree per mesh).
+location walks the face adjacency from a face of the mesh vertex nearest the
+point (one k-d tree per mesh).
 
 Meshes are immutable once built; derived structures (stiffness matrix, face
 inverses, adjacency) are computed lazily and cached on the instance, which is
@@ -238,15 +238,6 @@ def build_icosphere(level):
     return TriMesh(level, vertices, faces)
 
 
-def laplacian_apply(mesh, field):
-    """Lumped cotangent Laplacian: (Lf)_i = (1/A_i) sum_j w_ij (f_j - f_i).
-
-    Negative semi-definite convention, so coordinate fields give roughly -2x.
-    """
-    field = np.asarray(field, dtype=float)
-    return -(mesh.stiffness @ field) / mesh.vertex_areas[:, None]
-
-
 def geodesic_distance(x, y):
     """Great-circle distance between unit vectors (broadcasts over rows)."""
     d = np.clip(np.sum(np.asarray(x) * np.asarray(y), axis=-1), -1.0, 1.0)
@@ -263,20 +254,17 @@ def geodesic_distance(x, y):
 _BARY_TOL = 1e-12
 
 
-def locate_batch(mesh, points, starts=None):
+def locate_batch(mesh, points):
     """Locate many points by lockstep adjacency walks; returns (faces, bary).
 
-    Walks start on `starts` (one face per point) or, without them, on a face
-    of the mesh vertex nearest each point, a few steps from its own face.
-    They step across the edge opposite the most negative coordinate and fall
-    back to a brute-force scan for any query that fails to settle.
+    Walks start on a face of the mesh vertex nearest each point, a few steps
+    from its own face.  They step across the edge opposite the most negative
+    coordinate and fall back to a brute-force scan for any query that fails
+    to settle.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
-    if starts is None:
-        face = mesh._vertex_face[mesh.vertex_tree.query(pts)[1]]
-    else:
-        face = np.array(starts, dtype=np.int64)
+    face = mesh._vertex_face[mesh.vertex_tree.query(pts)[1]]
     prev = np.full(n, -1, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     out_face = np.empty(n, dtype=np.int64)
@@ -338,62 +326,19 @@ def locate(mesh, p):
     return int(face[0]), bary[0]
 
 
-def _unit_blend(vals):
-    """Rows of `vals` normalized in place, and their lengths; refuses
-    near-zero blends."""
+def interpolate_batch(mesh, field, points):
+    """Barycentric interpolation of a unit-vector field, renormalized."""
+    face, bary = locate_batch(mesh, points)
+    w = bary / bary.sum(axis=1, keepdims=True)
+    corners = np.take(field, np.take(mesh.faces, face, axis=0), axis=0)
+    vals = np.einsum("nk,nkc->nc", w, corners)
     norms = row_norms(vals)
     if norms.min() < 1e-6:
         raise InterpolationDegenerateError(
             "interpolated value shorter than 1e-6; values nearly antipodal "
             "across one face (map unresolved at this level)")
     vals /= norms[:, None]
-    return vals, norms
-
-
-def _corner_values(mesh, field, face):
-    """(n, 3, 3) rows of `field` at the corners of the faces `face`."""
-    return np.take(field, np.take(mesh.faces, face, axis=0), axis=0)
-
-
-def interpolate_batch(mesh, field, points):
-    """Barycentric interpolation of a unit-vector field, renormalized."""
-    face, bary = locate_batch(mesh, points)
-    w = bary / bary.sum(axis=1, keepdims=True)
-    corners = _corner_values(mesh, field, face)
-    return _unit_blend(np.einsum("nk,nkc->nc", w, corners))[0]
-
-
-def interpolate_jet(mesh, field, points, starts=None):
-    """Values of `interpolate_batch`, the located faces, and d value / d point.
-
-    Returns (values (n, 3), faces (n,), dvalues_dpoint (n, 3, 3)).  With
-    b = inv_f p, w = b / sum(b) and s = sum_k w_k u_k over the corners of the
-    located face f, the value is v = s / |s| and its derivative in p is
-        (I - v v^T) / |s| . U_f . dw/dp,   dw/dp = (I - w 1^T) inv_f / sum(b),
-    U_f holding the corner values as columns.  `starts` seeds the walks, as
-    in `locate_batch`.
-    """
-    face, bary = locate_batch(mesh, points, starts)
-    total = bary.sum(axis=1, keepdims=True)
-    w = bary / total
-    corners = _corner_values(mesh, field, face)
-    vals, norms = _unit_blend(np.einsum("nk,nkc->nc", w, corners))
-    inv = np.take(mesh._face_basis_inv, face, axis=0)
-    dw = w[:, :, None] * inv.sum(axis=1, keepdims=True)
-    np.subtract(inv, dw, out=dw)
-    dw /= total[:, :, None]
-    ds = np.einsum("nkc,nkj->ncj", corners, dw)
-    ds -= vals[:, :, None] * np.einsum("nc,ncj->nj", vals, ds)[:, None, :]
-    ds /= norms[:, None, None]
-    return vals, face, ds
-
-
-def locate_and_interpolate(mesh, field, p):
-    """Interpolate `field` at a single unit vector p; returns a unit vector."""
-    p = np.asarray(p, dtype=float)
-    if not abs(np.linalg.norm(p) - 1.0) <= 1e-12:  # refuses NaN and inf too
-        raise ValueError("query point must be a unit vector")
-    return interpolate_batch(mesh, np.asarray(field, dtype=float), p[None, :])[0]
+    return vals
 
 
 # --- plain-text export ----------------------------------------------------

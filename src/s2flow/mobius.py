@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FileFormatError, ParameterDomainError, PullbackUnderresolvedError
 from .fields import SphereMap
-from .mesh import interpolate_batch, interpolate_jet, row_norms
+from .mesh import interpolate_batch, row_norms
 
 # beyond this the family is numerically degenerate no matter the mesh
 A_NORM_MAX = 0.99
@@ -168,14 +168,20 @@ def sample(params, mesh):
     return SphereMap(mesh, vals)
 
 
-def _check_pullback(mesh, a, lambda_h_limit):
-    """|a|, once the guards every pullback shares have passed.
+def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
+    """The map u composed with phi_a, interpolated back onto u's mesh.
 
-    |a| <= 0.99 always, and lambda * h <= lambda_h_limit unless that is None.
+    Guards: |a| <= 0.99 always, and lambda * h <= lambda_h_limit (pass None
+    to relax when deliberately constructing under-resolved data).  a = 0 is
+    the identity, compresses nothing and passes at every level.
     """
+    a = np.asarray(a, dtype=float)
+    mesh = u.mesh
     rho = float(np.linalg.norm(a))
     if not rho < 1.0 - 1e-9:  # refuses NaN and inf too
         raise ParameterDomainError("dilation parameter must satisfy |a| < 1")
+    if rho == 0.0:
+        return SphereMap(mesh, u.values)
     if rho > A_NORM_MAX:
         raise PullbackUnderresolvedError(
             f"|a| = {rho:.4f} beyond the hard guard {A_NORM_MAX}")
@@ -186,39 +192,9 @@ def _check_pullback(mesh, a, lambda_h_limit):
                 f"dilation factor {lam:.2f} times mesh scale "
                 f"{mesh.mean_edge_length:.4f} exceeds {lambda_h_limit}; "
                 "refine the mesh or relax the guard")
-    return rho
-
-
-def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
-    """The map u composed with phi_a, interpolated back onto u's mesh.
-
-    Guards: |a| <= 0.99 always, and lambda * h <= lambda_h_limit (pass None
-    to relax when deliberately constructing under-resolved data).
-    """
-    a = np.asarray(a, dtype=float)
-    mesh = u.mesh
-    if _check_pullback(mesh, a, lambda_h_limit) == 0.0:
-        return SphereMap(mesh, u.values)
     queries = eval_phi(a, mesh.vertices)
     vals = interpolate_batch(mesh, u.values, queries)
     return SphereMap(mesh, vals)
-
-
-def pullback_jet(u, a, starts=None):
-    """`pullback` (default guards) with its derivative in a.
-
-    Returns (SphereMap, faces, dvalues_da): the located face of every vertex
-    query, which warm-starts the next location through `starts`, and the
-    (V, 3, 3) chain rule d(u o phi_a)/da = du/dp . dphi_a/da.  Unlike
-    `pullback` it locates at a = 0 too, where the derivative is still needed.
-    """
-    a = np.asarray(a, dtype=float)
-    mesh = u.mesh
-    _check_pullback(mesh, a, LAMBDA_H_LIMIT)
-    phi, dphi_da = eval_phi_jet(a, mesh.vertices)
-    vals, faces, dv_dp = interpolate_jet(mesh, u.values, phi, starts)
-    dv_da = np.einsum("nij,njk->nik", dv_dp, dphi_da)
-    return SphereMap(mesh, vals), faces, dv_da
 
 
 def max_pullback_radius(mesh, lambda_h_limit=LAMBDA_H_LIMIT):

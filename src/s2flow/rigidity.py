@@ -328,7 +328,7 @@ class RigidityReport:
     ratio: float                  # seminorm_dist / excess, nan when degenerate
     excess_tension_ratio: float   # excess / ||tau(u0)||^2
     balance_a: np.ndarray
-    balance_iterations: int       # Newton iterations to |Phi(a*)| <= tol
+    balance_iterations: int       # located pullbacks to |Phi(a*)| <= tol
     balance_residual: float       # |Phi(a*)|, the balanced center of mass
     fitted_params: MobiusParams
     fit_converged: bool           # False: fitted_params is FitFailedError.best

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from s2flow.balance import _center_jet, balance, center_functional
-from s2flow.errors import BalanceFailedError, PreconditionError
+from s2flow.balance import _conformal_center, _predict, balance, center_functional
+from s2flow.errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
+                           PullbackUnderresolvedError)
 from s2flow.fields import SphereMap, constant_map, identity_map, mean
-from s2flow.mobius import MobiusParams, pullback, quat_to_matrix, sample
-from s2flow.scenarios import ScenarioSpec, generate
+from s2flow.mesh import build_icosphere
+from s2flow.mobius import MobiusParams, max_pullback_radius, pullback, quat_to_matrix, sample
+from s2flow.scenarios import ScenarioSpec, generate, standard_family
 
 OFF_AXIS = ([0.1, -0.2, 0.15], [-0.05, 0.12, 0.3], [0.15, 0.25, -0.2])
 
@@ -63,20 +65,59 @@ def test_failure_carries_best_iterate(mesh_l4):
     with pytest.raises(BalanceFailedError) as err:
         balance(u, tol=1e-300, max_iter=2)
     assert err.value.best is not None
+    with pytest.raises(ParameterDomainError):
+        balance(u, max_iter=0)
+
+
+def test_identity_balances_at_coarse_levels():
+    # the guard refuses every a != 0 at levels 0 and 1, but a = 0 is the
+    # identity: it passes the guard and balances the identity map
+    for level in (0, 1):
+        mesh = build_icosphere(level)
+        assert max_pullback_radius(mesh) == 0.0
+        u = identity_map(mesh)
+        assert np.array_equal(pullback(u, np.zeros(3)).values, u.values)
+        res = balance(u)
+        assert np.array_equal(res.a_star, np.zeros(3))
+        assert res.residual <= 1e-6
+
+
+def test_balancing_point_beyond_guard_fails_fast(mesh_l3):
+    # a* is near (0, 0, -0.9) and |a*| = 0.877 exceeds the level-3 guard
+    # 0.537: refused before any located pullback
+    spec = ScenarioSpec(kind="perturbed_mobius", level=3, seed=1, eps=0.05,
+                        mobius=MobiusParams(np.array([1.0, 0, 0, 0]),
+                                            np.array([0.0, 0.0, 0.9])))
+    with pytest.raises(PullbackUnderresolvedError, match="refine the mesh"):
+        balance(generate(spec, mesh_l3))
 
 
 @pytest.mark.parametrize("level", [3, 4])
 @pytest.mark.parametrize("a", OFF_AXIS)
 def test_center_jacobian_matches_central_differences(mesh_l3, mesh_l4, level, a):
+    # the closed-form Jacobian of the change-of-variables centre
     u = perturbed({3: mesh_l3, 4: mesh_l4}[level], seed=1)
     a, h = np.array(a), 1e-6
-    phi, jac, v, _ = _center_jet(u, a)
-    assert np.array_equal(phi, center_functional(u, a))
-    assert np.array_equal(v.values, pullback(u, a).values)
-    fd = np.column_stack([(center_functional(u, a + h * e)
-                           - center_functional(u, a - h * e)) / (2 * h)
+    jac = _conformal_center(u, a)[1]
+    fd = np.column_stack([(_conformal_center(u, a + h * e)[0]
+                           - _conformal_center(u, a - h * e)[0]) / (2 * h)
                           for e in np.eye(3)])
     assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+def test_predictor_gap_shrinks_like_h_squared(mesh_l3, mesh_l4, mesh_l5):
+    # the root of the change-of-variables centre lies O(h^2) from the located
+    # a*: measured family maxima 8.3e-5, 1.6e-5 and 3.0e-6 on levels 3-5;
+    # single cases do not fall monotonically, so the family max is checked
+    gaps = []
+    for mesh in (mesh_l3, mesh_l4, mesh_l5):
+        gap = 0.0
+        for spec in standard_family(mesh.level)[::3]:
+            u = generate(spec, mesh)
+            predicted = _predict(u, 1e-6, 60)[0]
+            gap = max(gap, float(np.linalg.norm(predicted - balance(u).a_star)))
+        gaps.append(gap)
+    assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2]
 
 
 @settings(max_examples=25)
@@ -91,5 +132,5 @@ def test_balancing_invariant_under_target_rotation(mesh_l3, quat, seed):
     res, rres = balance(u), balance(ru)
     assert np.linalg.norm(rres.a_star - res.a_star) <= 1e-9
     for a in (res.a_star, np.array(OFF_AXIS[0])):
-        jac, rjac = _center_jet(u, a)[1], _center_jet(ru, a)[1]
+        jac, rjac = _conformal_center(u, a)[1], _conformal_center(ru, a)[1]
         assert np.abs(rjac - rot @ jac).max() <= 1e-12 * np.abs(jac).max()

@@ -9,9 +9,8 @@ import s2flow.mesh as mesh_mod
 from s2flow.errors import FileFormatError, ResourceLimitError
 from s2flow.fields import FOUR_PI
 from s2flow.mesh import (_locate_brute, build_icosphere, geodesic_distance,
-                         interpolate_batch, interpolate_jet, laplacian_apply,
-                         locate, locate_and_interpolate, locate_batch,
-                         read_mesh, row_norms, write_mesh)
+                         interpolate_batch, locate, locate_batch, read_mesh,
+                         row_norms, write_mesh)
 from s2flow.mobius import eval_phi
 
 
@@ -93,7 +92,8 @@ def test_laplacian_of_coordinates_converges():
     errs = []
     for level, bound in bounds.items():
         mesh = build_icosphere(level)
-        lap = laplacian_apply(mesh, mesh.vertices)
+        # the lumped cotangent Laplacian -K x / A
+        lap = -(mesh.stiffness @ mesh.vertices) / mesh.vertex_areas[:, None]
         resid = lap + 2.0 * mesh.vertices
         err = math.sqrt(float(np.sum(
             mesh.vertex_areas * np.einsum("ij,ij->i", resid, resid))))
@@ -212,54 +212,6 @@ def test_interpolation_second_order_for_smooth_fields():
         vals = interpolate_batch(mesh, smooth(mesh.vertices), pts)
         errs.append(np.linalg.norm(vals - smooth(pts), axis=1).max())
     assert errs[1] < errs[0] / 10.0
-
-
-def test_interpolate_jet_values_match_batch(mesh_l4):
-    # the jet interpolates exactly like interpolate_batch, whether its walks
-    # start cold or from the faces of nearby points (as balancing warm-starts)
-    rng = np.random.default_rng(8)
-    field = mesh_l4.vertices + 0.3 * rng.standard_normal(mesh_l4.vertices.shape)
-    field /= np.linalg.norm(field, axis=1, keepdims=True)
-    pts = rng.standard_normal((400, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    ref = interpolate_batch(mesh_l4, field, pts)
-    vals, faces, dv = interpolate_jet(mesh_l4, field, pts)
-    assert np.abs(vals - ref).max() <= 1e-15
-    assert np.array_equal(faces, locate_batch(mesh_l4, pts)[0])
-    assert dv.shape == (400, 3, 3)
-    nearby = pts + 0.02 * rng.standard_normal(pts.shape)
-    nearby /= np.linalg.norm(nearby, axis=1, keepdims=True)
-    for starts in (locate_batch(mesh_l4, nearby)[0], np.zeros(400, dtype=np.int64)):
-        warm, _, _ = interpolate_jet(mesh_l4, field, pts, starts)
-        assert np.abs(warm - ref).max() <= 1e-15
-
-
-def test_interpolate_jet_derivative_matches_differences(mesh_l3):
-    rng = np.random.default_rng(4)
-    field = mesh_l3.vertices + 0.3 * rng.standard_normal(mesh_l3.vertices.shape)
-    field /= np.linalg.norm(field, axis=1, keepdims=True)
-    pts = rng.standard_normal((100, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    _, _, dv = interpolate_jet(mesh_l3, field, pts)
-    h = 1e-7
-    for k in range(3):
-        step = h * np.eye(3)[k]
-        fd = (interpolate_batch(mesh_l3, field, pts + step)
-              - interpolate_batch(mesh_l3, field, pts - step)) / (2 * h)
-        assert np.abs(dv[:, :, k] - fd).max() < 1e-6 * np.abs(dv).max()
-
-
-def test_locate_and_interpolate_rejects_off_sphere(mesh_l3):
-    with pytest.raises(ValueError):
-        locate_and_interpolate(mesh_l3, mesh_l3.vertices, np.array([1.0, 1.0, 0.0]))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_locate_and_interpolate_rejects_non_finite(mesh_l3, bad):
-    # a NaN norm compares False against any tolerance, so the check must
-    # accept only norms within it
-    with pytest.raises(ValueError, match="query point must be a unit vector"):
-        locate_and_interpolate(mesh_l3, mesh_l3.vertices, np.array([bad, 0.0, 0.0]))
 
 
 @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3))

@@ -9,7 +9,7 @@ from s2flow.fields import FOUR_PI, energy, identity_map, l2_norm_sq, tension
 from s2flow.mobius import (MobiusParams, conformal_factor, dilation_factor,
                            eval_mobius, eval_phi, eval_phi_jet,
                            max_pullback_radius, params_from_line, params_to_line,
-                           pullback, pullback_jet, quat_from_matrix,
+                           pullback, quat_from_matrix,
                            quat_to_matrix, sample)
 from s2flow.scenarios import ScenarioSpec, generate
 
@@ -168,10 +168,6 @@ def test_pullback_guards(mesh_l3):
         pullback(u, np.array([0.0, 0.0, 0.9]))  # lambda h > 1/2 at level 3
     # relaxing the resolution guard (still inside the unit ball) is allowed
     pullback(u, np.array([0.0, 0.0, 0.9]), lambda_h_limit=None)
-    with pytest.raises(ParameterDomainError):
-        pullback_jet(u, np.array([0.0, 0.0, 1.01]))
-    with pytest.raises(PullbackUnderresolvedError):
-        pullback_jet(u, np.array([0.0, 0.0, 0.9]))
 
 
 def test_phi_jacobian_at_zero_is_tangent_projection():
@@ -204,15 +200,6 @@ def test_phi_jet_values_are_eval_phi():
         one, done = eval_phi_jet(a, x[5])
         assert one.shape == (3,) and done.shape == (3, 3)
         assert np.array_equal(one, eval_phi(a, x[5]))
-
-
-def test_pullback_jet_at_zero_locates_the_vertices(mesh_l3):
-    u = sample(MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, 0.0, 0.2])),
-               mesh_l3)
-    v, faces, dv_da = pullback_jet(u, np.zeros(3))
-    assert np.abs(v.values - u.values).max() <= 1e-15
-    assert all(vid in mesh_l3.faces[f] for vid, f in enumerate(faces))
-    assert dv_da.shape == (mesh_l3.n_vertices, 3, 3)
 
 
 def _eval_phi_jet_oracle(a, pts):
@@ -261,8 +248,8 @@ def test_max_pullback_radius_grows_with_level(mesh_l3, mesh_l4, mesh_l5):
 
 
 def test_guard_admits_max_pullback_radius_in_every_direction(mesh_l3, mesh_l4, mesh_l5):
-    # balance projects its iterates onto this radius, so rounding in |a| or
-    # lambda must not push a vector of that length past the guard
+    # balance refuses a predicted a* longer than this radius, so rounding in
+    # |a| or lambda must not push a vector of that length past the guard
     rng = np.random.default_rng(5)
     for mesh in (mesh_l3, mesh_l4, mesh_l5):
         u, radius = identity_map(mesh), max_pullback_radius(mesh)

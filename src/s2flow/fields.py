@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeUnresolvedError, FileFormatError
-from .mesh import TriMesh, build_icosphere, row_norms
+from .mesh import MAX_LEVEL, TriMesh, build_icosphere, row_norms
 
 FOUR_PI = 4.0 * math.pi
 
@@ -208,6 +208,12 @@ def load_map(path, mesh=None):
         level, n_v = int(head[1]), int(head[2])
     except ValueError:
         raise FileFormatError(f"{path}:1: non-integer level or vertex count")
+    # checked before any mesh is built: a level-8 mesh has 655,362 vertices
+    if not 0 <= level <= MAX_LEVEL:
+        raise FileFormatError(f"{path}:1: level {level} outside [0, {MAX_LEVEL}]")
+    if n_v != 10 * 4 ** level + 2:
+        raise FileFormatError(f"{path}:1: a level-{level} map has "
+                              f"{10 * 4 ** level + 2} vertices, not {n_v}")
     if len(lines) != 1 + n_v:
         raise FileFormatError(f"{path}: expected {1 + n_v} lines, got {len(lines)}")
     vals = np.empty((n_v, 3))

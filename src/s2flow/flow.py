@@ -84,6 +84,7 @@ class FlowTrace:
     snapshots: list = field(default_factory=list)   # map at each sample
     status: str = ""
     dt_halvings: int = 0          # energy-rise retries; each halves dt for good
+    steps: int = 0                # accepted advances; a halved retry counts once
     dt: float | None = None       # the step size the run ended with
     degree_monitored: bool = False  # False: no degree was given and the first
                                     # was unresolved, so losing it stopped nothing
@@ -220,8 +221,10 @@ def _concentration_operator(mesh, radius):
         chord = math.sqrt(2.0 - 2.0 * cos_r) + 1e-9   # padded for |x| != 1
         x = mesh.vertices
         pairs = mesh.vertex_tree.query_pairs(chord, output_type="ndarray")
-        keep = np.einsum("ij,ij->i", x[pairs[:, 0]], x[pairs[:, 1]]) >= cos_r
-        i, k = pairs[keep].T
+        i, k = pairs[:, 0], pairs[:, 1]
+        keep = np.einsum("ij,ij->i", np.take(x, i, axis=0),
+                         np.take(x, k, axis=0)) >= cos_r
+        i, k = i[keep], k[keep]
         diag = np.arange(n)
         y = sparse.csr_matrix(
             (np.ones(2 * len(i) + n, dtype=np.int8),
@@ -232,9 +235,11 @@ def _concentration_operator(mesh, radius):
              np.arange(0, 2 * n_edges + 1, 2)),
             shape=(n, n_edges))
         c = y @ b   # CSR, int8: no count exceeds 2
-        c.data = (c.data == 2).astype(np.float64)
+        # select and sort on one-byte data; only the kept entries become float64
+        c.data = c.data == 2
         c.eliminate_zeros()
         c.sort_indices()
+        c.data = c.data.astype(np.float64)
         return c
 
     return mesh.memo(("conc", round(float(radius), 12)), build)
@@ -332,7 +337,8 @@ def run_flow(u0, cfg=None, *, degree=None):
 
     if last_recorded != nstep and record():
         trace.status = "SingularityDetected"
-    trace.dt, trace.degree_monitored = dt, degree_ref is not None
+    trace.dt, trace.steps = dt, nstep
+    trace.degree_monitored = degree_ref is not None
     return u, trace
 
 

@@ -56,12 +56,27 @@ def _unit_rows(x):
     return x / row_norms(x)[:, None]
 
 
+def _unique_edges(pairs, n):
+    """(edges, inverse): the distinct vertex pairs of the (m, 2) array
+    `pairs`, each sorted, and the index of every row's edge.
+
+    Bit for bit np.unique(np.sort(pairs, axis=1), axis=0,
+    return_inverse=True): the int64 key i * n + j of a sorted pair (i, j)
+    with j < n orders the pairs lexicographically, and a 1-D unique on the
+    keys skips the row-wise sort of the axis=0 form.
+    """
+    a, b = pairs[:, 0], pairs[:, 1]
+    keys, inv = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                          return_inverse=True)
+    return np.stack([keys // n, keys % n], axis=1), inv
+
+
 def _subdivide(vertices, faces):
     """One midpoint subdivision step, new midpoints re-projected to the sphere."""
     n_old = len(vertices)
     # face-edge slots in the order (0,1), (1,2), (2,0)
     slots = np.concatenate([faces[:, (0, 1)], faces[:, (1, 2)], faces[:, (2, 0)]])
-    uniq, inv = np.unique(np.sort(slots, axis=1), axis=0, return_inverse=True)
+    uniq, inv = _unique_edges(slots, n_old)
     midpoints = _unit_rows(vertices[uniq[:, 0]] + vertices[uniq[:, 1]])
     mid_idx = (n_old + inv).reshape(3, -1)  # rows: slot (0,1), (1,2), (2,0)
     m01, m12, m20 = mid_idx
@@ -113,7 +128,7 @@ class TriMesh:
             raise ValueError("mesh vertices must lie on the unit sphere")
 
         opposite, cots = _cotangents(vertices, faces)
-        edges, inv = np.unique(np.sort(opposite, axis=1), axis=0, return_inverse=True)
+        edges, inv = _unique_edges(opposite, n_v)
         weights = np.zeros(len(edges))
         np.add.at(weights, inv, 0.5 * cots)
 

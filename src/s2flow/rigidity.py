@@ -362,6 +362,7 @@ class RigidityReport:
             "flow_degree_monitored": self.trace.degree_monitored,
             "flow_dt_halvings": self.trace.dt_halvings,
             "flow_status": self.flow_status,
+            "flow_steps": self.trace.steps,
             "l2_dist_sq": self.l2_dist_sq,
             "mean_v_norm": self.mean_v_norm,
             "ratio": self.ratio,

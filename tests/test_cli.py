@@ -62,6 +62,14 @@ def test_missing_file_is_exit_one(capsys):
     assert "error:" in err
 
 
+def test_map_header_off_the_icosphere_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "map.txt"
+    path.write_text("s2map 1 3\n1 0 0\n0 1 0\n0 0 1\n")
+    rc, _, err = run_cli(capsys, "energy", str(path))
+    assert rc == 1
+    assert "error:" in err
+
+
 def test_domain_error_is_exit_one(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "generate", "--kind", "rational_k",
                          "--level", "2", "--out", str(tmp_path / "m.txt"))

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import s2flow.fields as fields_mod
 from s2flow.errors import DegreeUnresolvedError, FileFormatError
 from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
                            degree, degree_estimate, dirichlet_diff,
@@ -220,4 +222,15 @@ def test_load_map_rejects_wrong_count(tmp_path, mesh_l2):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FileFormatError):
+        load_map(str(path))
+
+
+@pytest.mark.parametrize("level", [1, 8, -1, 9])
+def test_load_map_rejects_header_off_the_icosphere(tmp_path, monkeypatch, level):
+    # three rows under a header whose count is no icosphere's 10 * 4^level + 2
+    path = tmp_path / "map.txt"
+    path.write_text(f"s2map {level} 3\n1 0 0\n0 1 0\n0 0 1\n")
+    monkeypatch.setattr(fields_mod, "build_icosphere",
+                        lambda level: pytest.fail("built a mesh"))
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}:1:")):
         load_map(str(path))

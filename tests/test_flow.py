@@ -339,9 +339,13 @@ def test_two_dt_share_one_order(monkeypatch):
 
 # --- dt halvings and the degree monitor in the trace ------------------------------
 
-def test_halved_dt_is_counted(mesh_l2):
-    # twice the explicit default raises the energy on the first step; half
-    # of it does not, and the run completes at that dt
+def test_halved_dt_is_counted(mesh_l2, monkeypatch):
+    # twice the explicit default raises the energy on the fourteenth step;
+    # half of it does not, and the run completes at that dt
+    advances = []
+    advance = flow_mod._advance
+    monkeypatch.setattr(flow_mod, "_advance",
+                        lambda *args: advances.append(1) or advance(*args))
     u0 = perturbed(mesh_l2, eps=0.2, seed=4)
     dt = 2.0 * default_dt(mesh_l2, "explicit")
     cfg = default_flow_config(mesh_l2, scheme="explicit", dt=dt, t_max=2.0)
@@ -349,6 +353,10 @@ def test_halved_dt_is_counted(mesh_l2):
     assert trace.status == "Converged"
     assert trace.dt_halvings == 1
     assert trace.dt == 0.5 * dt
+    # the refused advance is not a step; with two step sizes, t / dt is no
+    # step count (28 at the final dt against 15 steps)
+    assert trace.steps == len(advances) - 1
+    assert trace.steps != round(trace.samples[-1].t / trace.dt)
     assert trace.degree_monitored
 
 

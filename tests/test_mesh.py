@@ -23,6 +23,26 @@ def test_counts_and_euler(level):
     assert mesh.n_vertices - mesh.n_edges + mesh.n_faces == 2
 
 
+def _row_unique(pairs, n):
+    """The row-wise np.unique that mesh._unique_edges must reproduce."""
+    uniq, inv = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    return uniq, inv.reshape(-1)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_mesh_arrays_match_the_row_unique_oracle(monkeypatch, level):
+    # the integer-key edge tables must give the arrays of the row-wise
+    # unique bit for bit: vertex order, edge order and every inverse
+    fast = build_icosphere(level)
+    monkeypatch.setattr(mesh_mod, "_unique_edges", _row_unique)
+    ref = build_icosphere(level)
+    for name in ("vertices", "faces", "edges", "edge_weights", "vertex_areas",
+                 "face_areas", "face_cotangents", "_edge_face_slot_inv"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_vertices_on_sphere(mesh_l3):
     norms = np.linalg.norm(mesh_l3.vertices, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-14

@@ -15,7 +15,7 @@ from s2flow.fields import (FOUR_PI, SphereMap, constant_map, degree, energy,
                            identity_map)
 from s2flow.flow import run_flow
 from s2flow.mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
-                           pullback, sample)
+                           eval_mobius, pullback, sample)
 from s2flow.rigidity import (DEGENERATE_FACTOR, SWEEP_HEADER, calibrated_excess,
                              constant_sweep, default_excess_limit,
                              default_flow_config, energy_deficit,
@@ -187,6 +187,24 @@ def test_fit_recovers_any_conformal_sample(mesh_l3, quat, direction, rho):
     assert np.abs(sample(fit_mobius(u), mesh_l3).values - u.values).max() < 1e-8
 
 
+@st.composite
+def _mobius_params(draw, rho_max):
+    quat = np.array(draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4)))
+    direction = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    norm = np.linalg.norm(direction)
+    assume(norm > 1e-3 and np.linalg.norm(quat) > 1e-3)
+    return MobiusParams(quat, draw(st.floats(0.0, rho_max)) * direction / norm)
+
+
+@given(_mobius_params(0.5), _mobius_params(0.5))
+def test_mobius_composition_stays_in_the_family(mesh_l3, first, second):
+    # two dilations of |a| <= 0.5 compose to one of |a| <= 0.8; fit_mobius
+    # returns only certified fits
+    vals = eval_mobius(second, eval_mobius(first, mesh_l3.vertices))
+    fit = fit_mobius(SphereMap(mesh_l3, vals))
+    assert np.abs(sample(fit, mesh_l3).values - vals).max() < 1e-8
+
+
 def _chart_point(params):
     """The solver chart x = (q, b) of params: b = a / sqrt(A^2 - |a|^2)."""
     a = params.a
@@ -333,6 +351,8 @@ def test_verify_perturbed_case(mesh_l5):
     assert 1 <= d["balance_iterations"] <= 60
     assert d["balance_residual"] <= 1e-6
     assert d["flow_dt_halvings"] == rep.trace.dt_halvings == 0
+    assert d["flow_steps"] == rep.trace.steps
+    assert rep.trace.steps == round(rep.trace.samples[-1].t / rep.trace.dt) > 0
     assert d["flow_degree_monitored"] is True
     assert d["stage_s"] == rep.stage_s
     assert set(rep.stage_s) == {"balance", "flow", "fit"}

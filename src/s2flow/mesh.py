@@ -253,12 +253,6 @@ def build_icosphere(level):
     return TriMesh(level, vertices, faces)
 
 
-def geodesic_distance(x, y):
-    """Great-circle distance between unit vectors (broadcasts over rows)."""
-    d = np.clip(np.sum(np.asarray(x) * np.asarray(y), axis=-1), -1.0, 1.0)
-    return np.arccos(d)
-
-
 # --- point location -------------------------------------------------------
 #
 # A point p is inside the spherical triangle of face f iff it lies in the
@@ -333,12 +327,6 @@ def _locate_brute(mesh, pts):
         out_face[sl] = idx
         out_bary[sl] = b[np.arange(len(idx)), idx]
     return out_face, out_bary
-
-
-def locate(mesh, p):
-    """Face index and unnormalized barycentric coordinates containing p."""
-    face, bary = locate_batch(mesh, np.asarray(p, dtype=float)[None, :])
-    return int(face[0]), bary[0]
 
 
 def interpolate_batch(mesh, field, points):

@@ -534,7 +534,10 @@ def constant_sweep(family, flow_cfg=None, jobs=1):
     status rows so a single bad case cannot sink the sweep.  With jobs > 1,
     worker i runs the interleaved slice family[i::workers] (so each worker
     builds each level's mesh once) and rows come back in family order.
-    Returns (rows, summary).
+    Before the pool starts, the parent imports scipy.optimize (the fit) and
+    scipy.spatial (the mesh's k-d tree), so workers forked from it inherit
+    both instead of each importing them again; under a non-fork start method
+    every worker imports them itself.  Returns (rows, summary).
     """
     if jobs < 1:
         raise ParameterDomainError(f"jobs must be at least 1, got {jobs}")
@@ -543,6 +546,8 @@ def constant_sweep(family, flow_cfg=None, jobs=1):
     if workers <= 1:
         rows = _run_cases(family, flow_cfg)
     else:
+        import scipy.optimize  # noqa: F401
+        import scipy.spatial  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cases,
                                    [family[i::workers] for i in range(workers)],

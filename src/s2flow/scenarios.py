@@ -21,12 +21,23 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fields import SphereMap, identity_map
-from .mesh import row_norms
+from .mesh import MAX_LEVEL, row_norms
 from .mobius import MobiusParams, pullback, sample
 
 KINDS = ("mobius", "rational_k", "perturbed_mobius", "concentrated_unbalanced")
 
 EPS_MAX = 0.5
+
+
+def _check_level_and_seed(level, seed):
+    """Refuse a level outside [0, MAX_LEVEL], a negative seed, or a non-int."""
+    for name, value in (("level", level), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterDomainError(f"{name} must be an int, got {value!r}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ParameterDomainError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
+    if seed < 0:
+        raise ParameterDomainError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterDomainError(f"unknown scenario kind {self.kind!r}")
+        _check_level_and_seed(self.level, self.seed)
         if not 0.0 <= self.eps <= EPS_MAX:
             raise ParameterDomainError(f"eps must lie in [0, {EPS_MAX}]")
         if self.kind == "rational_k":
@@ -141,6 +153,8 @@ def standard_family(level, eps_values=(0.02, 0.05, 0.1, 0.2), seeds_per_eps=5,
                     base_seed=2026):
     """The standard sweep family: perturbed conformal samples with seeded
     rotations and mild dilations (|a| <= 0.3), `seeds_per_eps` draws per eps."""
+    # the seeds only grow from base_seed; refuse a bad one before any draw
+    _check_level_and_seed(level, base_seed)
     specs = []
     for i, eps in enumerate(eps_values):
         for j in range(seeds_per_eps):

@@ -77,6 +77,21 @@ def test_domain_error_is_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--kind", "perturbed_mobius", "--level", "2", "--eps", "0.1",
+     "--seed", "-1"),
+    ("generate", "--kind", "mobius", "--level", "-1"),
+    ("sweep", "--level", "2", "--base-seed", "-5000"),
+    ("sweep", "--level", "-1"),
+])
+def test_unusable_level_or_seed_is_exit_one(tmp_path, capsys, argv):
+    out_path = tmp_path / "out"
+    rc, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert rc == 1
+    assert "error:" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--a", "nan,0,0"), ("--quat", "nan,0,0,1"),
                                          ("--a", "inf,0,0")])
 def test_non_finite_mobius_parameters_are_exit_one(tmp_path, capsys, flag, value):

@@ -12,7 +12,8 @@ from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
                            edge_energies, energy, identity_map, l2_dist_sq,
                            l2_norm_sq, load_map, local_energy, mean, save_map,
                            tension)
-from s2flow.mobius import MobiusParams, sample
+from s2flow.mobius import MobiusParams, eval_mobius, sample
+from s2flow.rigidity import energy_deficit, tension_floor
 from s2flow.scenarios import ScenarioSpec, generate
 
 
@@ -61,6 +62,43 @@ def test_target_rotation_keeps_energy_tension_and_degree(mesh_l3, quat, kind, k,
     assert energy(ru) == pytest.approx(energy(u), rel=1e-12)
     assert l2_norm_sq(tension(ru)) == pytest.approx(l2_norm_sq(tension(u)), rel=1e-11)
     assert degree(ru) == degree(u)
+
+
+_UNIT = st.floats(-1, 1)
+
+
+@given(st.lists(_UNIT, min_size=4, max_size=4), st.lists(_UNIT, min_size=4, max_size=4),
+       st.lists(_UNIT, min_size=3, max_size=3), st.floats(0.0, 0.3),
+       st.lists(_UNIT, min_size=3, max_size=3), st.floats(0.0, 0.2))
+def test_domain_rotation_keeps_energy_tension_and_degree(mesh_l3, rot_quat, quat,
+                                                         direction, rho, c, eps):
+    # f is a smooth degree-one map: a Mobius map with |a| <= 0.3, bent by a
+    # polynomial field and renormalised (|bend| <= sqrt(6), so eps * |bend|
+    # < 0.5 and the bent value never passes through zero).  f(x_i) and f(R x_i)
+    # sample one map and its rotated copy with no interpolation, so they
+    # differ only by where the mesh samples f.  Measured on 8000 draws at
+    # L3 with |a| = 0.3, eps = 0.2 and c at the corners (the worst of the
+    # family): |dE| <= 0.089 energy_deficit and |d|tau|| <= 1.21
+    # tension_floor; the bounds below leave about a factor 2.5.
+    assume(np.linalg.norm(rot_quat) > 0.1 and np.linalg.norm(quat) > 0.1)
+    direction = np.array(direction)
+    norm = np.linalg.norm(direction)
+    a = rho * direction / norm if norm > 0.1 else np.zeros(3)
+    params = MobiusParams(np.array(quat), a)
+
+    def f(x):
+        bend = np.stack([c[0] + x[:, 1] * x[:, 2], c[1] * x[:, 0],
+                         c[2] * x[:, 2] ** 2], axis=1)
+        v = eval_mobius(params, x) + eps * bend
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    x = mesh_l3.vertices
+    rot = MobiusParams(np.array(rot_quat), np.zeros(3)).rotation
+    u, ru = SphereMap(mesh_l3, f(x)), SphereMap(mesh_l3, f(x @ rot.T))
+    tau, rtau = (math.sqrt(l2_norm_sq(tension(w))) for w in (u, ru))
+    assert abs(energy(ru) - energy(u)) <= 0.25 * energy_deficit(mesh_l3)
+    assert abs(rtau - tau) <= 3.0 * tension_floor(mesh_l3)
+    assert degree(ru) == degree(u) == 1
 
 
 def _edge_energies_oracle(u):

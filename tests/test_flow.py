@@ -223,7 +223,8 @@ def test_concentration_monitor_and_location_share_one_tree(monkeypatch):
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.spatial and scipy.optimize are imported where they are used, so
-    # a process that only imports s2flow (a sweep worker, say) stays small
+    # a process that only imports s2flow (a flow-only run, say) stays small;
+    # sweep workers inherit both from the parent (test_rigidity)
     code = ("import sys, s2flow; "
             "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') "
             "if m in sys.modules))")

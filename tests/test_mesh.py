@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 import s2flow.mesh as mesh_mod
 from s2flow.errors import FileFormatError, ResourceLimitError
 from s2flow.fields import FOUR_PI
-from s2flow.mesh import (_locate_brute, build_icosphere, geodesic_distance,
-                         interpolate_batch, locate, locate_batch, read_mesh,
-                         row_norms, write_mesh)
+from s2flow.mesh import (_locate_brute, build_icosphere, interpolate_batch,
+                         locate_batch, read_mesh, row_norms, write_mesh)
 from s2flow.mobius import eval_phi
 
 
@@ -136,17 +135,10 @@ def test_row_norms_is_bitwise_linalg_norm(block):
         assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
-def test_geodesic_distance_matches_arccos():
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([0.0, 1.0, 0.0])
-    assert geodesic_distance(x, y) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert geodesic_distance(x, x) == pytest.approx(0.0, abs=1e-7)
-    assert geodesic_distance(x, -x) == pytest.approx(math.pi, abs=1e-7)
-
-
 def test_locate_vertex_queries(mesh_l3):
-    for vid in (0, 5, 100, mesh_l3.n_vertices - 1):
-        face, bary = locate(mesh_l3, mesh_l3.vertices[vid])
+    vids = [0, 5, 100, mesh_l3.n_vertices - 1]
+    faces, barys = locate_batch(mesh_l3, mesh_l3.vertices[vids])
+    for vid, face, bary in zip(vids, faces, barys):
         w = bary / bary.sum()
         slot = list(mesh_l3.faces[face]).index(vid)
         assert w[slot] == pytest.approx(1.0, abs=1e-9)
@@ -241,7 +233,7 @@ def test_locate_always_settles(coords):
     if norm < 0.1:
         return
     mesh = build_icosphere(2)
-    face, bary = locate(mesh, vec / norm)
+    (face,), (bary,) = locate_batch(mesh, vec / norm)
     assert 0 <= face < mesh.n_faces
     assert bary.min() >= -1e-9 * np.abs(bary).sum()
 

@@ -1,6 +1,9 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -463,6 +466,27 @@ def test_sweep_parallel_rows_in_family_order(tmp_path):
         blobs.append((csv.read_bytes(), summ.read_bytes()))
     assert blobs[0] == blobs[1] == blobs[2]
     assert summary["levels"] == [2, 3]
+
+
+def test_pool_parent_imports_the_fit_optimizer_and_the_kd_tree():
+    # a fresh interpreter, since this one has imported scipy.optimize already:
+    # the parent runs no case with jobs=2, yet holds both modules afterwards,
+    # so the workers it forks inherit them
+    code = ("import sys\n"
+            "from s2flow.rigidity import constant_sweep\n"
+            "from s2flow.scenarios import ScenarioSpec\n"
+            "heavy = ('scipy.optimize', 'scipy.spatial')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "fam = [ScenarioSpec(kind='perturbed_mobius', level=2, seed=s, eps=0.1)\n"
+            "       for s in range(2)]\n"
+            "constant_sweep(fam, jobs=2)\n"
+            "print([m for m in heavy if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(rigidity.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["[]", "['scipy.optimize', 'scipy.spatial']"]
 
 
 def test_sweep_worker_count_and_jobs_check(monkeypatch):

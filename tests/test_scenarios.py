@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from s2flow.errors import ParameterDomainError
 from s2flow.fields import FOUR_PI, degree, energy
+from s2flow.mesh import MAX_LEVEL
 from s2flow.mobius import MobiusParams, sample
 from s2flow.rigidity import calibrated_excess
 from s2flow.scenarios import KINDS, ScenarioSpec, generate, standard_family
@@ -79,6 +80,25 @@ def test_spec_validation():
         ScenarioSpec(kind="perturbed_mobius", level=3, eps=0.6, mobius=BASE)
     with pytest.raises(ParameterDomainError):
         ScenarioSpec(kind="concentrated_unbalanced", level=3, a_norm=0.5)
+
+
+@pytest.mark.parametrize("level, seed", [
+    (-1, 0), (MAX_LEVEL + 1, 0), (2.5, 0), ("3", 0), (True, 0), (np.int64(3), 0),
+    (3, -1), (3, 1.0), (3, None)])
+def test_spec_refuses_an_unusable_level_or_seed(level, seed):
+    with pytest.raises(ParameterDomainError, match="level|seed"):
+        ScenarioSpec(kind="mobius", level=level, seed=seed)
+
+
+@pytest.mark.parametrize("level", [0, MAX_LEVEL])
+def test_spec_accepts_the_level_range_ends(level):
+    assert ScenarioSpec(kind="mobius", level=level, seed=2**70).level == level
+
+
+@pytest.mark.parametrize("level, base_seed", [(4, -5000), (-1, 2026), (2.5, 2026)])
+def test_standard_family_refuses_an_unusable_level_or_base_seed(level, base_seed):
+    with pytest.raises(ParameterDomainError):
+        standard_family(level, base_seed=base_seed)
 
 
 def test_spec_json_round_trip():

@@ -11,14 +11,22 @@ Example:
     python3 scripts/run_sweep.py --levels 4,5 --jobs 4 --outdir results
 """
 
-import argparse
-import json
-import pathlib
-import sys
-import time
+import os
 
-from s2flow.rigidity import constant_sweep, write_sweep_csv, write_sweep_summary
-from s2flow.scenarios import standard_family
+# One BLAS thread per process unless the caller chose otherwise: pool
+# workers each running the default thread count oversubscribe the cores.
+# Set before numpy is first imported; workers inherit the environment.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+from s2flow.rigidity import constant_sweep, write_sweep_csv, write_sweep_summary  # noqa: E402
+from s2flow.scenarios import standard_family  # noqa: E402
 
 
 def main(argv=None):

@@ -35,15 +35,15 @@ from .flow import FlowConfig, default_dt, run_flow, write_trace_csv
 from .mesh import build_icosphere
 from .mobius import MobiusParams, max_pullback_radius
 from .rigidity import (constant_sweep, default_flow_config, energy_deficit,
-                       tension_floor, verify_rigidity, write_sweep_csv,
-                       write_sweep_summary)
+                       strict_json, tension_floor, verify_rigidity,
+                       write_sweep_csv, write_sweep_summary)
 from .scenarios import ScenarioSpec, standard_family, generate
 
 _FLOW_KEYS = ("scheme", "dt", "stop_tension", "t_max", "record_every")
 
 
 def _print_json(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = strict_json(obj) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -202,11 +202,7 @@ def cmd_verify(args):
     tol = args.tol if args.tol is not None else 1e-6
     report = verify_rigidity(u, flow_cfg=cfg, tol=tol,
                              excess_limit=args.excess_limit)
-    text = report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _print_json(report.to_dict(), args.out)
     return 0
 
 

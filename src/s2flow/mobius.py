@@ -168,12 +168,11 @@ def sample(params, mesh):
     return SphereMap(mesh, vals)
 
 
-def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
+def pullback(u, a):
     """The map u composed with phi_a, interpolated back onto u's mesh.
 
-    Guards: |a| <= 0.99 always, and lambda * h <= lambda_h_limit (pass None
-    to relax when deliberately constructing under-resolved data).  a = 0 is
-    the identity, compresses nothing and passes at every level.
+    Guard: lambda * h <= LAMBDA_H_LIMIT, which up to MAX_LEVEL also keeps |a|
+    under A_NORM_MAX (0.981 at level 8); a = 0 passes at every level.
     """
     a = np.asarray(a, dtype=float)
     mesh = u.mesh
@@ -182,29 +181,25 @@ def pullback(u, a, lambda_h_limit=LAMBDA_H_LIMIT):
         raise ParameterDomainError("dilation parameter must satisfy |a| < 1")
     if rho == 0.0:
         return SphereMap(mesh, u.values)
-    if rho > A_NORM_MAX:
+    lam = dilation_factor(a)
+    if lam * mesh.mean_edge_length > LAMBDA_H_LIMIT:
         raise PullbackUnderresolvedError(
-            f"|a| = {rho:.4f} beyond the hard guard {A_NORM_MAX}")
-    if lambda_h_limit is not None:
-        lam = dilation_factor(a)
-        if lam * mesh.mean_edge_length > lambda_h_limit:
-            raise PullbackUnderresolvedError(
-                f"dilation factor {lam:.2f} times mesh scale "
-                f"{mesh.mean_edge_length:.4f} exceeds {lambda_h_limit}; "
-                "refine the mesh or relax the guard")
+            f"dilation factor {lam:.2f} times mesh scale "
+            f"{mesh.mean_edge_length:.4f} exceeds {LAMBDA_H_LIMIT}; "
+            "refine the mesh")
     queries = eval_phi(a, mesh.vertices)
     vals = interpolate_batch(mesh, u.values, queries)
     return SphereMap(mesh, vals)
 
 
-def max_pullback_radius(mesh, lambda_h_limit=LAMBDA_H_LIMIT):
+def max_pullback_radius(mesh):
     """Largest |a| the resolution guard admits on this mesh.
 
     The bound on lambda is shrunk by 1e-12 relative: at the exact bound,
     rounding in |a| and in lambda pushed most vectors of that length past
     the guard (176 of 200 directions at level 5).
     """
-    lam_max = lambda_h_limit / mesh.mean_edge_length * (1.0 - 1e-12)
+    lam_max = LAMBDA_H_LIMIT / mesh.mean_edge_length * (1.0 - 1e-12)
     if lam_max <= 1.0:
         return 0.0
     return min(A_NORM_MAX, (lam_max - 1.0) / (lam_max + 1.0))

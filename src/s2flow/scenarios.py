@@ -6,9 +6,8 @@ Four kinds:
                             (conjugated for k < 0), degree k
     perturbed_mobius        conformal sample plus a seeded low-frequency
                             tangent perturbation of amplitude eps
-    concentrated_unbalanced identity pulled back by a dilation with |a| near
-                            one (resolution guard deliberately relaxed), then
-                            the same perturbation
+    concentrated_unbalanced sample of a pure dilation, |a| near one on a seeded
+                            axis (under-resolved), then the same perturbation
 
 Same spec in, bit-identical map out.
 """
@@ -20,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fields import SphereMap, identity_map
+from .fields import SphereMap
 from .mesh import MAX_LEVEL, row_norms
-from .mobius import MobiusParams, pullback, sample
+# pullback is unused here, but perfbench traces s2flow.scenarios.pullback
+from .mobius import MobiusParams, pullback, sample  # noqa: F401
 
 KINDS = ("mobius", "rational_k", "perturbed_mobius", "concentrated_unbalanced")
 
@@ -142,11 +142,11 @@ def generate(spec, mesh):
         return _rational_k(mesh, spec.k)
     if spec.kind == "perturbed_mobius":
         return _perturb(sample(params, mesh), spec.eps, rng)
-    # concentrated_unbalanced: dilation axis drawn from the seeded generator
+    # concentrated_unbalanced: a pure dilation along a seeded axis (spec.mobius unused)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    base = pullback(identity_map(mesh), spec.a_norm * axis, lambda_h_limit=None)
-    return _perturb(base, spec.eps, rng)
+    dilation = MobiusParams(np.array([1.0, 0.0, 0.0, 0.0]), spec.a_norm * axis)
+    return _perturb(sample(dilation, mesh), spec.eps, rng)
 
 
 def standard_family(level, eps_values=(0.02, 0.05, 0.1, 0.2), seeds_per_eps=5,

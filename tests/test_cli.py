@@ -18,8 +18,13 @@ def run_cli(capsys, *argv):
     return rc, out.out, out.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def last_json(stdout):
-    return json.loads(stdout)
+    # strict JSON only: NaN and Infinity are refused
+    return json.loads(stdout, parse_constant=_refuse_constant)
 
 
 def test_mesh_info(capsys):
@@ -141,6 +146,7 @@ def test_verify_report(tmp_path, capsys, a):
     report = last_json(out)
     assert report["flow_status"] == "Converged"
     assert report["degenerate"] is True
+    assert report["ratio"] is None  # degenerate: no trusted ratio
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
@@ -155,6 +161,24 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
         assert last_json(out)["n_cases"] == 2
         blobs.append((csv.read_bytes(), summ.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_sweep_summary_is_strict_json(tmp_path, capsys):
+    # every level-2 row is degenerate, so the strict constant is undefined
+    summ = tmp_path / "summary.json"
+    rc, out, _ = run_cli(capsys, "sweep", "--level", "2", "--seeds-per-eps", "1",
+                         "--summary", str(summ))
+    assert rc == 0
+    assert last_json(out)["ratio_max_strict"] is None
+    assert summ.read_text() == out
+
+
+def test_generate_concentrated_at_the_top_of_the_a_norm_range(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "generate", "--kind", "concentrated_unbalanced",
+                         "--level", "3", "--a-norm", "0.99", "--seed", "3",
+                         "--out", str(tmp_path / "map.txt"))
+    assert rc == 0
+    assert last_json(out)["kind"] == "concentrated_unbalanced"
 
 
 def test_sweep_refuses_a_bad_eps_list(tmp_path, capsys):

@@ -166,8 +166,13 @@ def test_pullback_guards(mesh_l3):
         pullback(u, np.array([0.0, 0.0, 1.01]))
     with pytest.raises(PullbackUnderresolvedError):
         pullback(u, np.array([0.0, 0.0, 0.9]))  # lambda h > 1/2 at level 3
-    # relaxing the resolution guard (still inside the unit ball) is allowed
-    pullback(u, np.array([0.0, 0.0, 0.9]), lambda_h_limit=None)
+
+
+def test_pullback_refuses_a_beyond_a_norm_max(mesh_l6):
+    # no separate |a| check: the resolution guard refuses it (it admits at
+    # most 0.927 at level 6, and 0.981 at level 8)
+    with pytest.raises(PullbackUnderresolvedError):
+        pullback(identity_map(mesh_l6), np.array([0.0, 0.6, 0.795]))
 
 
 def test_phi_jacobian_at_zero_is_tangent_projection():

@@ -32,6 +32,10 @@ from s2flow.scenarios import ScenarioSpec, generate, standard_family
 BASE = MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, -0.15, 0.2]))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def perturbed(mesh, eps, seed, mobius=None):
     spec = ScenarioSpec(kind="perturbed_mobius", level=mesh.level, seed=seed,
                         eps=eps, mobius=mobius)
@@ -332,6 +336,7 @@ def test_verify_mobius_sample(mesh_l4):
     assert rep.degenerate and math.isnan(rep.ratio)
     assert rep.seminorm_dist < 0.01
     assert rep.mean_v_norm <= 1e-3
+    assert json.loads(rep.to_json(), parse_constant=_refuse_constant)["ratio"] is None
 
 
 def test_verify_perturbed_case(mesh_l5):
@@ -521,7 +526,13 @@ def test_sweep_summary_json(tmp_path):
     rows, summary = constant_sweep(small_family())
     out = tmp_path / "summary.json"
     write_sweep_summary(summary, out)
-    assert out.read_text() == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    text = out.read_text()
+    parsed = json.loads(text, parse_constant=_refuse_constant)
+    assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    # strict JSON: a nan constant (no unflagged row here) is written as null
+    assert parsed == {k: None if isinstance(v, float) and math.isnan(v) else v
+                      for k, v in summary.items()}
+    assert parsed["ratio_max_strict"] is None
 
 
 def test_run_case_matches_verify(mesh_l4):

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from s2flow.errors import ParameterDomainError
 from s2flow.fields import FOUR_PI, degree, energy
-from s2flow.mesh import MAX_LEVEL
-from s2flow.mobius import MobiusParams, sample
+from s2flow.mesh import MAX_LEVEL, interpolate_batch
+from s2flow.mobius import MobiusParams, eval_phi, sample
 from s2flow.rigidity import calibrated_excess
 from s2flow.scenarios import KINDS, ScenarioSpec, generate, standard_family
 
@@ -67,6 +67,30 @@ def test_concentrated_unbalanced_generates(mesh_l4):
     u = generate(spec, mesh_l4)
     from s2flow.fields import mean
     assert np.linalg.norm(mean(u)) > 0.9  # mass piled near one image point
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_concentrated_start_is_the_located_identity(level, request):
+    # the identity interpolated at phi_a(x_i) is phi_a(x_i) itself, so the
+    # closed-form sample agrees with the located construction
+    mesh = request.getfixturevalue(f"mesh_l{level}")
+    for a_norm in (0.9, 0.95, 0.97):
+        for seed in range(3):
+            spec = ScenarioSpec(kind="concentrated_unbalanced", level=level,
+                                seed=seed, a_norm=a_norm)
+            axis = np.random.default_rng(seed).standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            a = a_norm * axis
+            located = interpolate_batch(mesh, mesh.vertices, eval_phi(a, mesh.vertices))
+            assert np.abs(generate(spec, mesh).values - located).max() <= 1e-15
+
+
+def test_concentrated_generates_at_the_top_of_the_a_norm_range(mesh_l3):
+    # |0.99 * axis| rounds above 0.99 for some axes (seeds 3, 9, 31, 32, 36)
+    for seed in range(40):
+        spec = ScenarioSpec(kind="concentrated_unbalanced", level=3, seed=seed,
+                            a_norm=0.99)
+        assert np.isfinite(generate(spec, mesh_l3).values).all()
 
 
 def test_spec_validation():

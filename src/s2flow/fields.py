@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeUnresolvedError, FileFormatError
+from .errors import (DegreeUnresolvedError, FileFormatError,
+                     ParameterDomainError)
 from .mesh import MAX_LEVEL, TriMesh, build_icosphere, row_norms
 
 FOUR_PI = 4.0 * math.pi
@@ -175,7 +176,9 @@ def l2_dist_sq(u, v):
 def local_energy(u, center, radius):
     """Energy edge sum restricted to edges with both endpoints within
     geodesic `radius` of `center` (a unit vector in the domain)."""
-    if radius <= 0.0:
+    if not radius >= 0.0:
+        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
+    if radius == 0.0:
         return 0.0
     if radius >= math.pi:
         return energy(u)

@@ -14,7 +14,8 @@ concentration) every few steps, polices monotone energy decay (halving dt
 once per energy rise, counted in the trace), and stops on small tension, the
 time horizon, or a concentration event.  The local energy in every geodesic
 ball is one sparse matvec with a V x E operator, built once per (mesh,
-radius) from k-d tree ball pairs and one sparse product.
+radius) from k-d tree ball pairs and one sparse product, taken over blocks
+of balls so that the build needs little more memory than the operator.
 """
 
 import math
@@ -37,6 +38,8 @@ ENERGY_SLACK = 1e-9          # relative per-step energy increase tolerance
 SOLVE_RTOL = 1e-10           # semi-implicit residual guard
 CONCENTRATION_THRESHOLD = FOUR_PI - 1.0
 ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
+BALL_BLOCK = 4096            # concentration operator: balls per product block
+PAIR_BLOCK = 1 << 18         # concentration operator: pairs per filter block
 
 
 @dataclass
@@ -206,41 +209,67 @@ def step(u, cfg=None):
 
 # --- concentration monitor --------------------------------------------------
 
+def _ball_pairs(mesh, cos_r):
+    """(K x 2) vertex pairs (i, k), i < k, with <x_i, x_k> >= cos_r, in
+    int32, the index type of the membership built from them.
+
+    The candidates come from the mesh's vertex k-d tree (`vertex_tree`, which
+    also starts point location) at the ball's chord, padded; the exact test
+    runs over blocks of PAIR_BLOCK candidates.
+    """
+    x = mesh.vertices
+    chord = math.sqrt(2.0 - 2.0 * cos_r) + 1e-9   # padded for |x| != 1
+    pairs = mesh.vertex_tree.query_pairs(chord, output_type="ndarray")
+    kept = [np.empty((0, 2), dtype=np.int32)]   # a ball may hold no pair
+    for s in range(0, len(pairs), PAIR_BLOCK):
+        p = pairs[s:s + PAIR_BLOCK]
+        dots = np.einsum("ij,ij->i", np.take(x, p[:, 0], axis=0),
+                         np.take(x, p[:, 1], axis=0))
+        kept.append(p[dots >= cos_r].astype(np.int32))
+    return np.concatenate(kept)
+
+
 def _concentration_operator(mesh, radius):
     """(V x E) 0/1 matrix summing per-edge energies into every radius-ball:
     row k holds the edges whose two ends satisfy <x_i, x_k> >= cos r - 1e-12.
 
-    The ball pairs come from the mesh's vertex k-d tree (`vertex_tree`, which
-    also starts point location) at the ball's chord, padded, then
-    filtered by that exact test; C = Y B counts the ends of edge e in ball k
-    (Y the membership, B the edge incidence), and the operator keeps C == 2.
+    Built from ball pairs and one sparse product: C = Y B counts the ends of
+    edge e in ball k (Y the ball membership, B the edge incidence), and the
+    operator keeps C == 2.  The product, the selection and the sort run over
+    blocks of BALL_BLOCK rows, each keeping only its column indices and row
+    counts, so the build peaks at about the operator's own size.
     """
+    if not radius >= 0.0:
+        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
+
     def build():
         n, n_edges = mesh.n_vertices, mesh.n_edges
-        cos_r = math.cos(min(radius, math.pi)) - 1e-12
-        chord = math.sqrt(2.0 - 2.0 * cos_r) + 1e-9   # padded for |x| != 1
-        x = mesh.vertices
-        pairs = mesh.vertex_tree.query_pairs(chord, output_type="ndarray")
-        i, k = pairs[:, 0], pairs[:, 1]
-        keep = np.einsum("ij,ij->i", np.take(x, i, axis=0),
-                         np.take(x, k, axis=0)) >= cos_r
-        i, k = i[keep], k[keep]
-        diag = np.arange(n)
+        i, k = _ball_pairs(mesh, math.cos(min(radius, math.pi)) - 1e-12).T
+        diag = np.arange(n, dtype=np.int32)
         y = sparse.csr_matrix(
             (np.ones(2 * len(i) + n, dtype=np.int8),
              (np.concatenate([i, k, diag]), np.concatenate([k, i, diag]))),
             shape=(n, n))
+        del i, k   # the pairs are in y now; free them before the product
         b = sparse.csc_matrix(
             (np.ones(2 * n_edges, dtype=np.int8), mesh.edges.ravel(),
              np.arange(0, 2 * n_edges + 1, 2)),
-            shape=(n, n_edges))
-        c = y @ b   # CSR, int8: no count exceeds 2
-        # select and sort on one-byte data; only the kept entries become float64
-        c.data = c.data == 2
-        c.eliminate_zeros()
-        c.sort_indices()
-        c.data = c.data.astype(np.float64)
-        return c
+            shape=(n, n_edges)).tocsr()
+        counts, indices = [], []
+        for r in range(0, n, BALL_BLOCK):
+            c = y[r:r + BALL_BLOCK] @ b   # CSR, int8: no count exceeds 2
+            c.data = c.data == 2
+            c.eliminate_zeros()
+            c.sort_indices()
+            counts.append(np.diff(c.indptr))
+            indices.append(c.indices)
+        del y, c   # free both before the float64 data is allocated
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        indices = np.concatenate(indices)
+        # one-byte work until here: only the kept entries become float64;
+        # csr_matrix narrows the int64 indptr to int32 while the counts fit
+        return sparse.csr_matrix(
+            (np.ones(len(indices)), indices, indptr), shape=(n, n_edges))
 
     return mesh.memo(("conc", round(float(radius), 12)), build)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import s2flow.fields as fields_mod
-from s2flow.errors import DegreeUnresolvedError, FileFormatError
+from s2flow.errors import (DegreeUnresolvedError, FileFormatError,
+                           ParameterDomainError)
 from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
                            degree, degree_estimate, dirichlet_diff,
                            edge_energies, energy, identity_map, l2_dist_sq,
@@ -219,6 +220,14 @@ def test_local_energy_limits(mesh_l3):
     small = local_energy(u, center, 0.5)
     big = local_energy(u, center, 1.5)
     assert 0.0 < small < big < energy(u)
+
+
+@pytest.mark.parametrize("radius", [-0.3, -1e-300, math.nan])
+def test_local_energy_rejects_negative_and_nan_radius(mesh_l3, radius):
+    # neither is a ball: returning 0 here would disagree with the monitor,
+    # where cos(-r) = cos r read -0.3 as the 0.3 ball
+    with pytest.raises(ParameterDomainError):
+        local_energy(identity_map(mesh_l3), np.array([0.0, 0.0, 1.0]), radius)
 
 
 def test_tangent_field_rejects_non_tangent(mesh_l2):

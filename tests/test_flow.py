@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,9 +174,7 @@ def _dense_concentration_operator(mesh, radius):
     return ref.shape, indptr, np.nonzero(ref)[1]
 
 
-@pytest.mark.parametrize("level", range(5))
-def test_concentration_operator_matches_brute_force(level):
-    mesh = build_icosphere(level)
+def _check_matches_brute_force(mesh):
     for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
         op = flow_mod._concentration_operator(mesh, radius)
         shape, indptr, indices = _dense_concentration_operator(mesh, radius)
@@ -185,21 +185,77 @@ def test_concentration_operator_matches_brute_force(level):
         assert op.data.dtype == np.float64 and np.all(op.data == 1.0)
 
 
-def test_concentration_operator_edge_radii(mesh_l2):
-    min_arc = 2.0 * math.asin(mesh_l2.min_edge_length / 2.0)
+def _check_edge_radii(mesh):
+    min_arc = 2.0 * math.asin(mesh.min_edge_length / 2.0)
     # a ball around one vertex reaching none of its neighbours holds no edge
-    assert flow_mod._concentration_operator(mesh_l2, 0.5 * min_arc).nnz == 0
+    assert flow_mod._concentration_operator(mesh, 0.5 * min_arc).nnz == 0
     # the shortest edges lie on the boundary of their end points' balls
-    op = flow_mod._concentration_operator(mesh_l2, min_arc)
-    _, indptr, indices = _dense_concentration_operator(mesh_l2, min_arc)
+    op = flow_mod._concentration_operator(mesh, min_arc)
+    _, indptr, indices = _dense_concentration_operator(mesh, min_arc)
     assert op.nnz > 0
     assert np.array_equal(op.indptr, indptr)
     assert np.array_equal(op.indices, indices)
-    n, n_edges = mesh_l2.n_vertices, mesh_l2.n_edges
+    n, n_edges = mesh.n_vertices, mesh.n_edges
     for radius in (math.pi, 4.0):
-        op = flow_mod._concentration_operator(mesh_l2, radius)
+        op = flow_mod._concentration_operator(mesh, radius)
         assert op.nnz == n * n_edges
         assert np.array_equal(op.indices, np.tile(np.arange(n_edges), n))
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_concentration_operator_matches_brute_force(level):
+    _check_matches_brute_force(build_icosphere(level))
+
+
+def test_concentration_operator_edge_radii(mesh_l2):
+    _check_edge_radii(mesh_l2)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_concentration_operator_blocks_join_exactly(monkeypatch, level):
+    # odd block sizes: from level 2 on, the build spans several blocks of
+    # rows and of pairs and ends on partial ones; the edge radii give empty
+    # blocks and full rows
+    monkeypatch.setattr(flow_mod, "BALL_BLOCK", 97)
+    monkeypatch.setattr(flow_mod, "PAIR_BLOCK", 1009)
+    mesh = build_icosphere(level)
+    _check_matches_brute_force(mesh)
+    _check_edge_radii(mesh)
+
+
+def test_concentration_operator_digest_at_level_5(mesh_l5):
+    # 10,242 balls: three blocks of rows and two of pairs at the default sizes
+    op = flow_mod._concentration_operator(mesh_l5, 5.0 * mesh_l5.mean_edge_length)
+    assert op.indptr.dtype == op.indices.dtype == np.int32
+    digest = hashlib.sha256(op.indptr.tobytes() + op.indices.tobytes())
+    assert digest.hexdigest() == (
+        "544cbc4cb2d4399e650afc2c2d4870f7c6cdf6ebc0604b9937fda02bc74fe9b5")
+
+
+def test_concentration_operator_build_peaks_near_its_size():
+    mesh = build_icosphere(5)
+    mesh.vertex_tree   # the tree belongs to the mesh, not to the build
+    tracemalloc.start()
+    try:
+        op = flow_mod._concentration_operator(mesh, 5.0 * mesh.mean_edge_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    assert peak <= 1.25 * size
+
+
+@pytest.mark.parametrize("radius", [-0.3, -1e-300, math.nan])
+def test_local_energy_profile_rejects_negative_and_nan_radius(mesh_l3, radius):
+    # cos(-r) = cos r read -0.3 as the 0.3 ball, and a NaN key, matching no
+    # other, built and kept one more operator per call
+    with pytest.raises(ParameterDomainError):
+        local_energy_profile(identity_map(mesh_l3), radius)
+
+
+def test_local_energy_profile_at_radius_zero_is_zero(mesh_l3):
+    prof = local_energy_profile(identity_map(mesh_l3), 0.0)
+    assert prof.shape == (mesh_l3.n_vertices,) and not prof.any()
 
 
 def test_concentration_monitor_and_location_share_one_tree(monkeypatch):

@@ -29,29 +29,35 @@ from s2flow.rigidity import constant_sweep, write_sweep_csv, write_sweep_summary
 from s2flow.scenarios import standard_family  # noqa: E402
 
 
+def eps_list(text):
+    return tuple(float(s) for s in text.split(","))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--levels", default="4", help="comma-separated mesh levels")
-    ap.add_argument("--eps-list", default="0.02,0.05,0.1,0.2",
+    # unset family and pool options keep standard_family's and
+    # constant_sweep's defaults
+    ap.add_argument("--eps-list", dest="eps_values", type=eps_list,
                     help="comma-separated perturbation sizes")
-    ap.add_argument("--seeds-per-eps", type=int, default=5)
-    ap.add_argument("--base-seed", type=int, default=2026)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--seeds-per-eps", type=int)
+    ap.add_argument("--base-seed", type=int)
+    ap.add_argument("--jobs", type=int)
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args(argv)
 
     levels = [int(s) for s in args.levels.split(",")]
-    eps_values = tuple(float(s) for s in args.eps_list.split(","))
+    family_kw = {k: v for k, v in vars(args).items()
+                 if k in ("eps_values", "seeds_per_eps", "base_seed") and v is not None}
+    sweep_kw = {"jobs": args.jobs} if args.jobs is not None else {}
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     summaries = {}
     for level in levels:
-        family = standard_family(level, eps_values=eps_values,
-                                 seeds_per_eps=args.seeds_per_eps,
-                                 base_seed=args.base_seed)
+        family = standard_family(level, **family_kw)
         t0 = time.perf_counter()
-        rows, summary = constant_sweep(family, jobs=args.jobs)
+        rows, summary = constant_sweep(family, **sweep_kw)
         wall = time.perf_counter() - t0
         write_sweep_csv(rows, outdir / f"sweep_L{level}.csv")
         write_sweep_summary(summary, outdir / f"summary_L{level}.json")

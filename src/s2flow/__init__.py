@@ -18,7 +18,7 @@ from .fields import (FOUR_PI, SphereMap, TangentField, constant_map, degree,
 from .flow import (FlowConfig, FlowTrace, default_dt, detect_concentration,
                    flow_certificates, local_energy_profile, run_flow, step,
                    write_trace_csv)
-from .mesh import TriMesh, build_icosphere, read_mesh, write_mesh
+from .mesh import TriMesh, build_icosphere
 from .mobius import (MobiusParams, conformal_factor, dilation_factor,
                      eval_mobius, eval_phi, max_pullback_radius,
                      params_from_line, params_to_line, pullback, sample)

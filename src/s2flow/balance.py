@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
-                     PullbackUnderresolvedError)
+from .errors import BalanceFailedError, PreconditionError, PullbackUnderresolvedError
 from .fields import SphereMap, degree, mean
 from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, max_pullback_radius,
                      pullback)
 
+BALANCE_TOL = 1e-6   # |Phi(a*)| a balanced map reaches unless told otherwise
+MAX_ITER = 60        # steps of the predictor, and of the corrector
 MAX_HALVINGS = 8
 
 _NO_ROTATION = np.array([1.0, 0.0, 0.0, 0.0])
@@ -62,7 +63,7 @@ def _conformal_center(u, a):
     return w @ u.values, (u.values.T @ dw) * (4.0 / (1.0 - float(a @ a)))
 
 
-def _predict(u, tol, max_iter):
+def _predict(u, tol):
     """Root of Phi~ by damped Newton from a = 0, and Phi~'s Jacobian there.
 
     Runs to |Phi~| <= tol / 1000, far below the O(h^2) gap to the located
@@ -73,7 +74,7 @@ def _predict(u, tol, max_iter):
     a = np.zeros(3)
     phi, jac = _conformal_center(u, a)
     res = float(np.linalg.norm(phi))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if res <= 1e-3 * tol:
             break
         d = np.linalg.lstsq(jac, -phi, rcond=None)[0]
@@ -90,22 +91,20 @@ def _predict(u, tol, max_iter):
     return a, jac
 
 
-def balance(u, tol=1e-6, max_iter=60):
+def balance(u, tol=BALANCE_TOL):
     """Find a* with |center_functional(u, a*)| <= tol.
 
     Predicts a* as the root of the change-of-variables centre Phi~, then
     corrects it with chord Newton steps on the located Phi, each taking one
-    `pullback` and Phi~'s Jacobian at the prediction.  `max_iter` bounds the
+    `pullback` and Phi~'s Jacobian at the prediction.  MAX_ITER bounds the
     steps of each stage.  The result carries the balanced map u o phi_{a*}.
     Raises PullbackUnderresolvedError at once when the predicted a* lies
     beyond `max_pullback_radius`, and BalanceFailedError carrying the best
     located iterate when the corrector stops contracting or runs out of steps.
     """
-    if max_iter < 1:
-        raise ParameterDomainError(f"max_iter must be at least 1, got {max_iter}")
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
-    a, jac = _predict(u, tol, max_iter)
+    a, jac = _predict(u, tol)
     a_max = max_pullback_radius(u.mesh)
     if np.linalg.norm(a) > a_max:
         raise PullbackUnderresolvedError(
@@ -113,7 +112,7 @@ def balance(u, tol=1e-6, max_iter=60):
             f"guard {a_max:.4f} at level {u.mesh.level}; refine the mesh")
 
     best = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         v = pullback(u, a)
         phi = mean(v)
         res = float(np.linalg.norm(phi))

@@ -31,7 +31,7 @@ import numpy as np
 from .balance import balance
 from .errors import S2FlowError
 from .fields import degree, energy, l2_norm_sq, load_map, mean, save_map, tension
-from .flow import FlowConfig, default_dt, run_flow, write_trace_csv
+from .flow import default_dt, run_flow, write_trace_csv
 from .mesh import build_icosphere
 from .mobius import MobiusParams, max_pullback_radius
 from .rigidity import (constant_sweep, default_flow_config, energy_deficit,
@@ -40,6 +40,7 @@ from .rigidity import (constant_sweep, default_flow_config, energy_deficit,
 from .scenarios import ScenarioSpec, standard_family, generate
 
 _FLOW_KEYS = ("scheme", "dt", "stop_tension", "t_max", "record_every")
+LEVEL = 4   # mesh level of generate, sweep and mesh-info without --level
 
 
 def _print_json(obj, path=None):
@@ -99,12 +100,16 @@ def _apply_config(args, parser):
     return args
 
 
+def _given(args, *keys):
+    """The named values the user set, by flag or --config; every other
+    value keeps the library's default."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+
 def _flow_config(args, mesh):
     """Flow configuration from flags; unset values fall back to the
     mesh-calibrated default (stop threshold above the tension floor)."""
-    overrides = {k: getattr(args, k) for k in _FLOW_KEYS
-                 if getattr(args, k, None) is not None}
-    return default_flow_config(mesh, **overrides)
+    return default_flow_config(mesh, **_given(args, *_FLOW_KEYS))
 
 
 def _add_flow_flags(sub):
@@ -135,15 +140,12 @@ def _scenario_from_args(args):
         a = args.a if args.a is not None else np.zeros(3)
         quat = args.quat if args.quat is not None else np.array([1.0, 0, 0, 0])
         mobius = MobiusParams(quat, a)
-    return ScenarioSpec(kind=args.kind, level=args.level,
-                        seed=args.seed if args.seed is not None else 0,
-                        mobius=mobius, k=args.k,
-                        eps=args.eps if args.eps is not None else 0.0,
-                        a_norm=args.a_norm)
+    return ScenarioSpec(kind=args.kind, level=args.level, mobius=mobius,
+                        k=args.k, a_norm=args.a_norm, **_given(args, "seed", "eps"))
 
 
 def cmd_generate(args):
-    args.level = args.level if args.level is not None else 4
+    args.level = args.level if args.level is not None else LEVEL
     spec = _scenario_from_args(args)
     mesh = build_icosphere(spec.level)
     u = generate(spec, mesh)
@@ -167,8 +169,7 @@ def cmd_energy(args):
 
 def cmd_balance(args):
     u = load_map(args.map)
-    tol = args.tol if args.tol is not None else 1e-6
-    result = balance(u, tol=tol)
+    result = balance(u, **_given(args, "tol"))
     _print_json({
         "a_star": [float(c) for c in result.a_star],
         "iterations": result.iterations,
@@ -199,25 +200,22 @@ def cmd_flow(args):
 def cmd_verify(args):
     u = load_map(args.inp)
     cfg = _flow_config(args, u.mesh)
-    tol = args.tol if args.tol is not None else 1e-6
-    report = verify_rigidity(u, flow_cfg=cfg, tol=tol,
-                             excess_limit=args.excess_limit)
+    report = verify_rigidity(u, flow_cfg=cfg, excess_limit=args.excess_limit,
+                             **_given(args, "tol"))
     _print_json(report.to_dict(), args.out)
     return 0
 
 
 def cmd_sweep(args):
-    level = args.level if args.level is not None else 4
-    eps_values = args.eps_list if args.eps_list is not None else (0.02, 0.05, 0.1, 0.2)
-    seeds = args.seeds_per_eps if args.seeds_per_eps is not None else 5
-    base_seed = args.base_seed if args.base_seed is not None else 2026
-    family = standard_family(level, eps_values=eps_values,
-                             seeds_per_eps=seeds, base_seed=base_seed)
+    level = args.level if args.level is not None else LEVEL
+    family_kw = _given(args, "seeds_per_eps", "base_seed")
+    if args.eps_list is not None:
+        family_kw["eps_values"] = args.eps_list
+    family = standard_family(level, **family_kw)
     cfg = None
-    if any(getattr(args, k, None) is not None for k in _FLOW_KEYS):
+    if _given(args, *_FLOW_KEYS):
         cfg = _flow_config(args, build_icosphere(level))
-    jobs = args.jobs if args.jobs is not None else 1
-    rows, summary = constant_sweep(family, flow_cfg=cfg, jobs=jobs)
+    rows, summary = constant_sweep(family, flow_cfg=cfg, **_given(args, "jobs"))
     if args.out:
         write_sweep_csv(rows, args.out)
     if args.summary:
@@ -227,7 +225,7 @@ def cmd_sweep(args):
 
 
 def cmd_mesh_info(args):
-    level = args.level if args.level is not None else 4
+    level = args.level if args.level is not None else LEVEL
     mesh = build_icosphere(level)
     _print_json({
         "area_deficit": mesh.area_deficit,

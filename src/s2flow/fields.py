@@ -30,7 +30,7 @@ class SphereMap:
             raise ValueError(
                 f"values must have shape ({self.mesh.n_vertices}, 3), got {vals.shape}")
         dev = np.abs(row_norms(vals) - 1.0).max()
-        if dev > 1e-12:
+        if not dev <= 1e-12:  # refuses NaN too
             raise ValueError(f"values must be unit vectors (max deviation {dev:.3e})")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -197,7 +197,7 @@ def save_map(u, path):
             fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
 
 
-def load_map(path, mesh=None):
+def load_map(path):
     """Read a map file; rows far from unit length are an error, slightly
     off rows are renormalized (exact rows round-trip bit for bit)."""
     with open(path) as fh:
@@ -237,10 +237,4 @@ def load_map(path, mesh=None):
             "than 1e-6")
     fix = np.abs(norms - 1.0) > 1e-12
     vals[fix] /= norms[fix, None]
-    if mesh is None:
-        mesh = build_icosphere(level)
-    elif mesh.level != level or mesh.n_vertices != n_v:
-        raise FileFormatError(
-            f"{path}: file is level {level} ({n_v} vertices), mesh is level "
-            f"{mesh.level} ({mesh.n_vertices})")
-    return SphereMap(mesh, vals)
+    return SphereMap(build_icosphere(level), vals)

@@ -36,6 +36,7 @@ SCHEMES = ("explicit", "semi-implicit")
 
 ENERGY_SLACK = 1e-9          # relative per-step energy increase tolerance
 SOLVE_RTOL = 1e-10           # semi-implicit residual guard
+CERTIFICATE_RTOL = 1e-6      # relative slack of the displacement certificates
 CONCENTRATION_THRESHOLD = FOUR_PI - 1.0
 ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
 BALL_BLOCK = 4096            # concentration operator: balls per product block
@@ -55,12 +56,13 @@ class FlowConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ParameterDomainError(f"scheme must be one of {SCHEMES}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ParameterDomainError("dt must be positive")
-        if not self.stop_tension > 0.0:
-            raise ParameterDomainError("stop_tension must be positive")
-        if not self.t_max > 0.0:
-            raise ParameterDomainError("t_max must be positive")
+        # the comparisons refuse NaN and inf too
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ParameterDomainError("dt must be positive and finite")
+        if not 0.0 < self.stop_tension < math.inf:
+            raise ParameterDomainError("stop_tension must be positive and finite")
+        if not 0.0 < self.t_max < math.inf:
+            raise ParameterDomainError("t_max must be positive and finite")
         if self.record_every < 1:
             raise ParameterDomainError("record_every must be at least 1")
         if (self.concentration_radius is not None
@@ -112,7 +114,7 @@ class _State:
 def _normalize_step(vals):
     """The rows of `vals` normalized in place."""
     norms = row_norms(vals)
-    if norms.min() < 1e-6:
+    if not norms.min() >= 1e-6:  # refuses NaN too
         raise StepDegenerateError(
             "step produced a vector shorter than 1e-6; reduce dt")
     vals /= norms[:, None]
@@ -389,7 +391,7 @@ class FlowCertificates:
     max_path_excess_ratio: float
 
 
-def flow_certificates(trace, tol=1e-6):
+def flow_certificates(trace):
     """Check ||u(T) - u(s)|| <= sum dt ||tau|| for every recorded s < T.
 
     Raises CertificateError on violation; otherwise reports, per start time,
@@ -405,7 +407,7 @@ def flow_certificates(trace, tol=1e-6):
     for smp, snap in zip(trace.samples[:-1], trace.snapshots[:-1]):
         lhs = math.sqrt(l2_dist_sq(u_end, snap))
         mid = end.path_length - smp.path_length
-        if lhs > mid * (1.0 + tol) + 1e-13:
+        if lhs > mid * (1.0 + CERTIFICATE_RTOL) + 1e-13:
             raise CertificateError(
                 f"displacement {lhs:.6e} from t={smp.t:.6g} exceeds the "
                 f"tension path length {mid:.6e}")

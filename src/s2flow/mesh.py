@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import FileFormatError, InterpolationDegenerateError, ResourceLimitError
+from .errors import InterpolationDegenerateError, ResourceLimitError
 
 MAX_LEVEL = 8
 
@@ -124,7 +124,7 @@ class TriMesh:
         vertices = np.array(vertices, dtype=float)
         faces = np.array(faces, dtype=np.int64)
         n_v, n_f = len(vertices), len(faces)
-        if np.abs(row_norms(vertices) - 1.0).max() > 1e-14:
+        if not np.abs(row_norms(vertices) - 1.0).max() <= 1e-14:
             raise ValueError("mesh vertices must lie on the unit sphere")
 
         opposite, cots = _cotangents(vertices, faces)
@@ -343,42 +343,3 @@ def interpolate_batch(mesh, field, points):
     vals /= norms[:, None]
     return vals
 
-
-# --- plain-text export ----------------------------------------------------
-
-def write_mesh(mesh, path):
-    """Plain text export: header 'level V F', vertex lines, 0-based face lines."""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.level} {mesh.n_vertices} {mesh.n_faces}\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        for i, j, k in mesh.faces:
-            fh.write(f"{i} {j} {k}\n")
-
-
-def read_mesh(path):
-    """Inverse of write_mesh (levels are rebuilt, geometry cross-checked).
-
-    Any file that is not a valid mesh raises FileFormatError naming the path.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    try:
-        level, n_v, n_f = (int(tok) for tok in lines[0].split())
-    except (ValueError, IndexError):
-        raise FileFormatError(f"{path}:1: expected header 'level V F'")
-    if len(lines) != 1 + n_v + n_f:
-        raise FileFormatError(f"{path}: expected {1 + n_v + n_f} lines, got {len(lines)}")
-    try:
-        verts = np.array([[float(t) for t in lines[1 + i].split()] for i in range(n_v)])
-        faces = np.array([[int(t) for t in lines[1 + n_v + i].split()] for i in range(n_f)])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad vertex/face line ({exc})")
-    if verts.shape != (n_v, 3) or faces.shape != (n_f, 3):
-        raise FileFormatError(f"{path}: every vertex and face line needs 3 entries")
-    if faces.min() < 0 or faces.max() >= n_v:
-        raise FileFormatError(f"{path}: face index outside [0, {n_v})")
-    try:
-        return TriMesh(level, verts, faces)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: inconsistent mesh ({exc})")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import balance
+from .balance import BALANCE_TOL, balance
 from .errors import (FitFailedError, ParameterDomainError, PreconditionError,
                      S2FlowError, VacuousRegimeError)
 from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
@@ -88,9 +88,9 @@ def default_flow_config(mesh, **overrides):
     return FlowConfig(**overrides)
 
 
-def default_excess_limit(excess_tension_bound=EXCESS_TENSION_BOUND):
-    """Working small-excess threshold pi / (1 + 4 * excess_tension_bound)."""
-    return math.pi / (1.0 + 4.0 * excess_tension_bound)
+def default_excess_limit():
+    """Working small-excess threshold pi / (1 + 4 * EXCESS_TENSION_BOUND)."""
+    return math.pi / (1.0 + 4.0 * EXCESS_TENSION_BOUND)
 
 
 def sup_gradient(u):
@@ -380,7 +380,7 @@ class RigidityReport:
         return strict_json(self.to_dict())
 
 
-def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
+def verify_rigidity(u, flow_cfg=None, tol=BALANCE_TOL, excess_limit=None):
     """Balance u, flow to a conformal limit, report distance against excess.
 
     The distance/excess comparison is made in the balanced frame (the
@@ -388,7 +388,12 @@ def verify_rigidity(u, flow_cfg=None, tol=1e-6, excess_limit=None):
     continuum, and balancing is what keeps the flow away from concentration).
     A non-Converged flow is reported through flow_status rather than raised:
     unbalanced or under-resolved inputs may legitimately concentrate.
+    An input whose calibrated excess lies above `excess_limit` (default
+    default_excess_limit()) raises VacuousRegimeError.
     """
+    if excess_limit is not None and not excess_limit > 0.0:  # refuses NaN too
+        raise ParameterDomainError(
+            f"excess_limit must be positive, got {excess_limit}")
     mesh = u.mesh
     d = degree(u)
     if d != 1:

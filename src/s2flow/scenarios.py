@@ -13,7 +13,6 @@ Same spec in, bit-identical map out.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,9 +151,14 @@ def generate(spec, mesh):
 def standard_family(level, eps_values=(0.02, 0.05, 0.1, 0.2), seeds_per_eps=5,
                     base_seed=2026):
     """The standard sweep family: perturbed conformal samples with seeded
-    rotations and mild dilations (|a| <= 0.3), `seeds_per_eps` draws per eps."""
+    rotations and mild dilations (|a| <= 0.3), `seeds_per_eps` draws per eps.
+    An empty family is refused: a sweep over it would report nothing."""
     # the seeds only grow from base_seed; refuse a bad one before any draw
     _check_level_and_seed(level, base_seed)
+    if seeds_per_eps < 1 or len(eps_values) == 0:
+        raise ParameterDomainError(
+            f"the family needs eps values and seeds_per_eps >= 1, got "
+            f"{len(eps_values)} eps values and seeds_per_eps={seeds_per_eps}")
     specs = []
     for i, eps in enumerate(eps_values):
         for j in range(seeds_per_eps):

@@ -202,6 +202,31 @@ def test_sweep_refuses_a_bad_eps_list(tmp_path, capsys):
     assert last_json(out)["n_cases"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("flow", "--dt", "inf"),
+    ("flow", "--t-max", "nan"),
+    ("verify", "--stop-tension", "inf"),
+    ("verify", "--excess-limit", "nan"),
+])
+def test_non_finite_settings_are_exit_one(tmp_path, capsys, argv):
+    src = tmp_path / "start.txt"
+    run_cli(capsys, "generate", "--kind", "perturbed_mobius", "--level", "2",
+            "--eps", "0.1", "--out", str(src))
+    rc, out, err = run_cli(capsys, argv[0], "--in", str(src), *argv[1:])
+    assert rc == 1
+    assert err.startswith("error:") and argv[1].lstrip("-").replace("-", "_") in err
+    assert out == ""
+
+
+def test_empty_sweep_family_is_exit_one(tmp_path, capsys):
+    summ = tmp_path / "summary.json"
+    rc, out, err = run_cli(capsys, "sweep", "--level", "2", "--seeds-per-eps", "0",
+                           "--summary", str(summ))
+    assert rc == 1
+    assert "error:" in err and out == ""
+    assert not summ.exists()
+
+
 def test_sweep_rejects_zero_jobs(capsys):
     rc, _, err = run_cli(capsys, "sweep", "--level", "2", "--jobs", "0")
     assert rc == 1

@@ -240,6 +240,8 @@ def test_map_norm_validation(mesh_l2):
     bad = mesh_l2.vertices * 1.001
     with pytest.raises(ValueError):
         SphereMap(mesh_l2, bad)
+    with pytest.raises(ValueError, match="unit vectors"):
+        SphereMap(mesh_l2, np.full((mesh_l2.n_vertices, 3), math.nan))
 
 
 def test_save_load_round_trip(tmp_path, mesh_l3):

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import spsolve, splu
 
 import s2flow.flow as flow_mod
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
-                           ParameterDomainError)
+                           ParameterDomainError, StepDegenerateError)
 from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
                            l2_dist_sq, l2_norm_sq, local_energy, tension)
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
@@ -54,11 +54,22 @@ def test_bad_scheme_rejected():
         {"record_every": 0},
         {"concentration_radius": -0.2},
         {"concentration_threshold": 0.0},
+        {"dt": math.inf},
+        {"stop_tension": math.inf},
+        {"t_max": math.inf},
     ],
 )
 def test_nonpositive_config_values_rejected(kwargs):
     with pytest.raises(ParameterDomainError):
         FlowConfig(**kwargs)
+
+
+def test_normalize_step_refuses_nan():
+    # NaN fails every comparison, so the guard is written to fail on it
+    vals = np.ones((4, 3))
+    vals[2, 1] = math.nan
+    with pytest.raises(StepDegenerateError):
+        flow_mod._normalize_step(vals)
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import s2flow.mesh as mesh_mod
-from s2flow.errors import FileFormatError, ResourceLimitError
+from s2flow.errors import ResourceLimitError
 from s2flow.fields import FOUR_PI
-from s2flow.mesh import (_locate_brute, build_icosphere, interpolate_batch,
-                         locate_batch, read_mesh, row_norms, write_mesh)
+from s2flow.mesh import (TriMesh, _locate_brute, build_icosphere,
+                         interpolate_batch, locate_batch, row_norms)
 from s2flow.mobius import eval_phi
 
 
@@ -245,47 +245,12 @@ def test_level_guard():
         build_icosphere(-1)
 
 
-def test_mesh_file_round_trip(tmp_path, mesh_l2):
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh_l2, str(path))
-    back = read_mesh(str(path))
-    assert back.level == mesh_l2.level
-    assert np.array_equal(back.vertices, mesh_l2.vertices)
-    assert np.array_equal(back.faces, mesh_l2.faces)
-
-
-def test_read_mesh_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 42 80\n0 0 1\n")
-    with pytest.raises(FileFormatError):
-        read_mesh(str(path))
-
-
-def _set_line(index, text):
-    def edit(lines):
-        lines[index] = text
-    return edit
-
-
-def _two_entry_faces(lines):
-    for i in range(1 + 42, len(lines)):
-        lines[i] = lines[i].rsplit(" ", 1)[0]
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_set_line(0, "2 42 80"), "does not match level"),   # level-2 header, level-1 body
-    (_set_line(1, "0 0 1.5"), "unit sphere"),            # a vertex off the sphere
-    (_set_line(-1, "0 1 99"), "outside"),                # face index 99 of 42 vertices
-    (_set_line(-1, "0 1 -1"), "outside"),
-    (_two_entry_faces, "3 entries"),
-])
-def test_read_mesh_refuses_inconsistent_files(tmp_path, edit, message):
-    # each file is well formed line by line; at level 1 there are 42 vertices
-    path = tmp_path / "mesh.txt"
-    write_mesh(build_icosphere(1), str(path))
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError, match=message) as exc:
-        read_mesh(str(path))
-    assert str(path) in str(exc.value)
+def test_trimesh_refuses_inconsistent_data():
+    mesh = build_icosphere(1)
+    with pytest.raises(ValueError, match="does not match level"):
+        TriMesh(2, mesh.vertices, mesh.faces)
+    for bad in (1.5, math.nan):   # a vertex off the sphere, or not a number
+        vertices = mesh.vertices.copy()
+        vertices[0] *= bad
+        with pytest.raises(ValueError, match="unit sphere"):
+            TriMesh(1, vertices, mesh.faces)

@@ -97,7 +97,6 @@ def test_default_flow_config_sits_on_floor(mesh_l4):
 
 def test_default_excess_limit():
     assert default_excess_limit() == pytest.approx(math.pi / 5.0, rel=1e-15)
-    assert default_excess_limit(2.0) < default_excess_limit(1.0)
 
 
 # --- sup gradient -----------------------------------------------------------
@@ -327,6 +326,13 @@ def test_verify_rejects_vacuous_regime(mesh_l4):
     with pytest.raises(VacuousRegimeError):
         verify_rigidity(perturbed(mesh_l4, eps=0.1, seed=0),
                         excess_limit=1e-4)
+
+
+@pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+def test_verify_refuses_an_excess_limit_that_is_not_positive(mesh_l4, limit):
+    # a NaN limit would compare false and switch the vacuous-regime guard off
+    with pytest.raises(ParameterDomainError, match="excess_limit"):
+        verify_rigidity(perturbed(mesh_l4, eps=0.1, seed=0), excess_limit=limit)
 
 
 def test_verify_mobius_sample(mesh_l4):

@@ -125,6 +125,13 @@ def test_standard_family_refuses_an_unusable_level_or_base_seed(level, base_seed
         standard_family(level, base_seed=base_seed)
 
 
+@pytest.mark.parametrize("kwargs", [{"seeds_per_eps": 0}, {"seeds_per_eps": -2},
+                                    {"eps_values": ()}])
+def test_standard_family_refuses_an_empty_family(kwargs):
+    with pytest.raises(ParameterDomainError, match="family needs"):
+        standard_family(2, **kwargs)
+
+
 def test_spec_json_round_trip():
     spec = ScenarioSpec(kind="perturbed_mobius", level=4, seed=9, eps=0.1,
                         mobius=BASE)

@@ -3,6 +3,7 @@
 import importlib.util
 import pathlib
 
+from s2flow.cli import main
 from s2flow.flow import TRACE_HEADER
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -31,6 +32,17 @@ def test_run_sweep(tmp_path, capsys):
                  "sweep_L3.csv", "summary_L3.json"):
         assert (tmp_path / name).is_file()
     assert "ratio_max drift L2 -> L3" in capsys.readouterr().out
+
+
+def test_cli_sweep_and_run_sweep_write_the_same_bytes(tmp_path, capsys):
+    # with no family or pool flags both front ends keep the library defaults
+    csv, summary = tmp_path / "cli.csv", tmp_path / "cli.json"
+    assert main(["sweep", "--level", "2", "--out", str(csv),
+                 "--summary", str(summary)]) == 0
+    assert load_script("run_sweep").main(["--levels", "2", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert csv.read_bytes() == (tmp_path / "sweep_L2.csv").read_bytes()
+    assert summary.read_bytes() == (tmp_path / "summary_L2.json").read_bytes()
 
 
 def test_singularity_demo(tmp_path, capsys):

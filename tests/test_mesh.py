@@ -245,12 +245,29 @@ def test_level_guard():
         build_icosphere(-1)
 
 
-def test_trimesh_refuses_inconsistent_data():
-    mesh = build_icosphere(1)
-    with pytest.raises(ValueError, match="does not match level"):
-        TriMesh(2, mesh.vertices, mesh.faces)
-    for bad in (1.5, math.nan):   # a vertex off the sphere, or not a number
-        vertices = mesh.vertices.copy()
-        vertices[0] *= bad
-        with pytest.raises(ValueError, match="unit sphere"):
-            TriMesh(1, vertices, mesh.faces)
+def _relabel(level):
+    def edit(mesh):
+        return [(level, mesh.vertices, mesh.faces)]
+    return edit
+
+
+def _scale_first_vertex(*factors):
+    def edit(mesh):
+        cases = []
+        for factor in factors:
+            vertices = mesh.vertices.copy()
+            vertices[0] *= factor
+            cases.append((mesh.level, vertices, mesh.faces))
+        return cases
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_relabel(2), "does not match level"),                # level-1 arrays
+    (_scale_first_vertex(1.5, math.nan), "unit sphere"),  # off sphere, NaN
+])
+def test_read_mesh_refuses_inconsistent_files(edit, message):
+    # TriMesh checks the arrays it is given, however they were obtained
+    for level, vertices, faces in edit(build_icosphere(1)):
+        with pytest.raises(ValueError, match=message):
+            TriMesh(level, vertices, faces)

@@ -18,11 +18,13 @@ balanced representative u o phi_{a*} is the right starting point for the
 flow: its center of mass stays small, which is what rules out concentration.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BalanceFailedError, PreconditionError, PullbackUnderresolvedError
+from .errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
+                     PullbackUnderresolvedError)
 from .fields import SphereMap, degree, mean
 from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, max_pullback_radius,
                      pullback)
@@ -92,7 +94,7 @@ def _predict(u, tol):
 
 
 def balance(u, tol=BALANCE_TOL):
-    """Find a* with |center_functional(u, a*)| <= tol.
+    """Find a* with |center_functional(u, a*)| <= tol, for 0 < tol < inf.
 
     Predicts a* as the root of the change-of-variables centre Phi~, then
     corrects it with chord Newton steps on the located Phi, each taking one
@@ -102,6 +104,8 @@ def balance(u, tol=BALANCE_TOL):
     beyond `max_pullback_radius`, and BalanceFailedError carrying the best
     located iterate when the corrector stops contracting or runs out of steps.
     """
+    if not 0.0 < tol < math.inf:  # refuses NaN too
+        raise ParameterDomainError(f"tol must be positive and finite, got {tol}")
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
     a, jac = _predict(u, tol)

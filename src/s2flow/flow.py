@@ -63,8 +63,9 @@ class FlowConfig:
             raise ParameterDomainError("stop_tension must be positive and finite")
         if not 0.0 < self.t_max < math.inf:
             raise ParameterDomainError("t_max must be positive and finite")
-        if self.record_every < 1:
-            raise ParameterDomainError("record_every must be at least 1")
+        if (isinstance(self.record_every, bool) or not isinstance(self.record_every, int)
+                or self.record_every < 1):
+            raise ParameterDomainError("record_every must be an integer of at least 1")
         if (self.concentration_radius is not None
                 and not self.concentration_radius > 0.0):
             raise ParameterDomainError("concentration_radius must be positive")

@@ -20,9 +20,11 @@ with the dilation, so an absolute threshold under the floor never triggers
 and the map eventually slides to concentration and collapses to a constant).
 
 The flow limit is also compared with its nearest conformal map (fit_mobius):
-a Levenberg-Marquardt least-squares fit of the gradient-weighted misfit.
-fit_residuals is the residual vector, fit_objective its squared norm and
-fit_jacobian its closed-form derivative in the solver's chart.
+a Levenberg-Marquardt least-squares fit of the gradient-weighted misfit over
+the dilation a alone, with the rotation solved in closed form (a weighted
+Procrustes problem) at every a.  fit_residuals is the residual vector,
+fit_objective its squared norm and fit_jacobian the residual's closed-form
+derivative in the solver's chart, projected off the rotation.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ STOP_FLOOR_FACTOR = 2.0
 # small-excess threshold; measured values on the standard families are two
 # orders of magnitude smaller.
 EXCESS_TENSION_BOUND = 1.0
+# least_squares' ftol for the conformal fit: at scipy's default of 1e-8,
+# large-residual fits stop short of the gradient certificate.
+FIT_FTOL = 1e-12
 
 
 # --- per-mesh calibration -----------------------------------------------------
@@ -140,21 +145,10 @@ def excess_tension_probe(u):
 
 # --- conformal fit ------------------------------------------------------------
 
-def _quat_mul(p, q):
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.array([pw * qw - px * qx - py * qy - pz * qz,
-                     pw * qx + px * qw + py * qz - pz * qy,
-                     pw * qy - px * qz + py * qw + pz * qx,
-                     pw * qz + px * qy - py * qx + pz * qw])
-
-
-def _procrustes_quat(mesh, values):
-    """Rotation best aligning mesh vertices to map values (area weighted)."""
-    m = (mesh.vertex_areas[:, None] * values).T @ mesh.vertices
-    uu, _, vt = np.linalg.svd(m)
-    r = uu @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(uu @ vt)))]) @ vt
-    return quat_from_matrix(r)
+def _weighted_residual(u, v, mu):
+    """Flattened sqrt(2 A_i) mu_i (u_i - v_i): the fit's residual against values v."""
+    w = np.sqrt(2.0 * u.mesh.vertex_areas) * mu
+    return (w[:, None] * (u.values - v)).ravel()
 
 
 def fit_residuals(u, params):
@@ -163,9 +157,8 @@ def fit_residuals(u, params):
     Its squared norm is fit_objective; 2*mu^2 is the Dirichlet density of v.
     """
     mesh = u.mesh
-    diff = u.values - sample(params, mesh).values
-    w = np.sqrt(2.0 * mesh.vertex_areas) * conformal_factor(params, mesh.vertices)
-    return (w[:, None] * diff).ravel()
+    return _weighted_residual(u, sample(params, mesh).values,
+                              conformal_factor(params, mesh.vertices))
 
 
 def fit_objective(u, params):
@@ -179,113 +172,95 @@ def fit_objective(u, params):
     return float(r @ r)
 
 
-def _params_from_x(x):
-    """Solver chart: unnormalized quaternion, and b in R^3 mapped into the ball."""
-    b = x[4:]
-    return MobiusParams(x[:4], A_NORM_MAX * b / math.sqrt(1.0 + float(b @ b)))
+def _fit_point(u, b):
+    """(params, residual, jacobian) of the fit at chart point b.
+
+    The chart maps b in R^3 into the ball, a = A_NORM_MAX b / sqrt(1 + |b|^2).
+    For that a the rotation is solved in closed form: with W = 2 A mu^2 the
+    misfit sum_i W_i |u_i - R phi_a(x_i)|^2 is least at the rotation factor of
+    sum_i W_i u_i phi_a(x_i)^T (one 3x3 SVD, with the determinant fix).  The
+    residual is _weighted_residual against R phi_a, and the jacobian is
+    fit_jacobian's.
+    """
+    mesh = u.mesh
+    pts = mesh.vertices
+    s = math.sqrt(1.0 + float(b @ b))
+    a = A_NORM_MAX * b / s
+    phi, dphi_da = eval_phi_jet(a, pts)
+    mu = conformal_factor(MobiusParams([1.0, 0.0, 0.0, 0.0], a), pts)
+    w = np.sqrt(2.0 * mesh.vertex_areas)
+    wmu = (w * mu)[:, None]
+    uu, _, vt = np.linalg.svd((wmu * wmu * u.values).T @ phi)
+    rot = uu @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(uu @ vt)))]) @ vt
+    v = phi @ rot.T
+    diff = u.values - v
+
+    da_db = A_NORM_MAX * (np.eye(3) - np.outer(b, b) / (s * s)) / s
+    # one (3V, 3) product: a batched (3, 3) matmul per vertex is far slower
+    dphi_db = (dphi_da.reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
+    dmu_db = (-2.0 * mu[:, None] * (a + mu[:, None] * (pts + a))
+              / (1.0 - float(a @ a))) @ da_db
+    jac_a = np.empty((3, len(pts), 3))
+    for j in range(3):  # w (dmu/db_j diff - mu R dphi/db_j)
+        np.matmul(dphi_db[:, :, j], -rot.T, out=jac_a[j])
+        jac_a[j] *= wmu
+        jac_a[j] += (w * dmu_db[:, j])[:, None] * diff
+    jac_a = jac_a.reshape(3, -1).T
+    # -w mu (e_k x R phi): the residual's derivative under R -> exp([e_k]x) R
+    jac_rot = np.stack([-wmu * np.cross(e, v) for e in np.eye(3)]).reshape(3, -1).T
+    jac = jac_a - jac_rot @ np.linalg.solve(jac_rot.T @ jac_rot, jac_rot.T @ jac_a)
+    params = MobiusParams(quat_from_matrix(rot), a)
+    return params, _weighted_residual(u, v, mu), jac
 
 
-def _quat_matrix_partials(q):
-    """d quat_to_matrix / d q_k at the unit quaternion q, shape (4, 3, 3)."""
-    w, x, y, z = q
-    return 2.0 * np.array([
-        [[0, -z, y], [z, 0, -x], [-y, x, 0]],
-        [[0, y, z], [y, -2 * x, -w], [z, w, -2 * x]],
-        [[-2 * y, x, w], [x, 0, z], [-w, z, -2 * y]],
-        [[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0]],
-    ])
-
-
-def fit_jacobian(u, x):
-    """Closed-form (3V, 7) derivative of fit_residuals(u, _params_from_x(x)).
+def fit_jacobian(u, b):
+    """Closed-form (3V, 3) derivative of the fit's residual in the chart b.
 
     With r_i = w_i mu_i (u_i - R phi_a(x_i)), w_i = sqrt(2 A_i):
-      - in q: R depends on q/|q|, so dR/dq = dR/dq^ . (I - q^ q^T) / |q|;
       - in a: phi_a and dphi/da come from one mobius.eval_phi_jet call, and
         the stretch mu = conformal_factor = (1 - |a|^2) / |x + a|^2 has
         dmu/da = -2 mu (a + mu (x + a)) / (1 - |a|^2);
       - in b: da/db = A_NORM_MAX (I - b b^T / (1 + |b|^2)) / sqrt(1 + |b|^2).
-    `sample`'s renormalization contributes nothing, since |R phi_a| = 1.
-    The columns are built in a (7, V, 3) array; the result is its transposed
-    view.
+    R is re-solved at every b (see _fit_point), so these three columns are
+    projected off the rotation columns -w mu (e_k x R phi) (Kaufman's
+    variable projection).  Because R is optimal, J^T r is the exact gradient
+    of the misfit in b, and J is exact wherever r = 0.
     """
-    mesh = u.mesh
-    q, b = x[:4], x[4:]
-    params = _params_from_x(x)
-    qhat, a, rot = params.quat, params.a, params.rotation
-    pts = mesh.vertices
-    phi, dphi_da = eval_phi_jet(a, pts)
-    mu = conformal_factor(params, pts)
-    w = np.sqrt(2.0 * mesh.vertex_areas)
-    wmu = (w * mu)[:, None]
-    s = math.sqrt(1.0 + float(b @ b))
-    da_db = A_NORM_MAX * (np.eye(3) - np.outer(b, b) / (s * s)) / s
-    dr_dq = np.einsum("lij,lk->kij", _quat_matrix_partials(qhat),
-                      (np.eye(4) - np.outer(qhat, qhat)) / np.linalg.norm(q))
-    # one (3V, 3) product: a batched (3, 3) matmul per vertex is far slower
-    dphi_db = (dphi_da.reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
-    diff = u.values - phi @ rot.T
-    dmu_db = (-2.0 * mu[:, None] * (a + mu[:, None] * (pts + a))
-              / (1.0 - float(a @ a))) @ da_db
-
-    jac = np.empty((7, len(pts), 3))
-    for k in range(4):  # -w mu dR/dq_k phi
-        np.matmul(phi, -dr_dq[k].T, out=jac[k])
-        jac[k] *= wmu
-    for j in range(3):  # w (dmu/db_j diff - mu R dphi/db_j)
-        np.matmul(dphi_db[:, :, j], -rot.T, out=jac[4 + j])
-        jac[4 + j] *= wmu
-        jac[4 + j] += (w * dmu_db[:, j])[:, None] * diff
-    return jac.reshape(7, -1).T
+    return _fit_point(u, b)[2]
 
 
 def fit_mobius(u):
-    """Best conformal approximation of u by least squares on fit_residuals.
+    """Best conformal approximation of u by least squares over the dilation.
 
-    Levenberg-Marquardt (scipy.optimize.least_squares) on the closed-form
-    fit_jacobian, from the area-weighted Procrustes rotation with a = 0.  The
-    length of the quaternion does not change the map, so the Jacobian has a
-    null direction, along which the solver drifts wherever the misfit
-    vanishes (exact conformal samples); one more residual, |q| - 1, fixes the
-    length.  A start is certified when the solver converged and the misfit
-    gradient norm is at most 1e-5 * (1 + misfit).  Only when the first start
-    is not certified are three more tried, rotated a quarter turn about each
-    coordinate axis; the best certified one wins.  Raises FitFailedError
-    (carrying the best parameters seen) when no start is certified.
+    Levenberg-Marquardt (scipy.optimize.least_squares, ftol FIT_FTOL) on the
+    three chart coordinates b of the dilation, from b = 0, with the rotation
+    solved in closed form at every point and the projected fit_jacobian.
+    The residual and the Jacobian share one _fit_point per chart point.  The
+    fit is certified when the solver converged and the misfit gradient norm
+    is at most 1e-5 * (1 + misfit); otherwise FitFailedError carries the
+    lowest-misfit parameters the solver reached.
     """
     # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
     from scipy.optimize import least_squares
 
-    def residuals(x):  # fit_residuals, then |q| - 1
-        return np.append(fit_residuals(u, _params_from_x(x)),
-                         np.linalg.norm(x[:4]) - 1.0)
+    last = {}
 
-    def jacobian(x):
-        q = x[:4]
-        return np.vstack([fit_jacobian(u, x),
-                          np.concatenate([q / np.linalg.norm(q), np.zeros(3)])])
+    def point(b):
+        key = b.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _fit_point(u, b)
+        return last[key]
 
-    def solve(quat):
-        res = least_squares(residuals, np.concatenate([quat, np.zeros(3)]),
-                            method="lm", jac=jacobian)
-        misfit = 2.0 * res.cost
-        grad_norm = 2.0 * float(np.linalg.norm(res.grad))
-        ok = res.status > 0 and grad_norm <= 1e-5 * (1.0 + misfit)
-        return _params_from_x(res.x), misfit, ok
-
-    q0 = _procrustes_quat(u.mesh, u.values)
-    fits = [solve(q0)]
-    if not fits[0][2]:
-        half = math.sqrt(0.5)
-        fits += [solve(_quat_mul(np.concatenate([[half], half * axis]), q0))
-                 for axis in np.eye(3)]
-    # lowest misfit among the certified starts, else among all of them
-    best, best_g, ok = min(fits, key=lambda f: (not f[2], f[1]))
-    if not ok:
+    res = least_squares(lambda b: point(b)[1], np.zeros(3), method="lm",
+                        jac=lambda b: point(b)[2], ftol=FIT_FTOL)
+    misfit = 2.0 * res.cost
+    if not (res.status > 0
+            and 2.0 * float(np.linalg.norm(res.grad)) <= 1e-5 * (1.0 + misfit)):
         raise FitFailedError(
-            f"conformal fit stalled at misfit {best_g:.6g} without meeting "
-            "its gradient tolerance", best=best)
-    return best
+            f"conformal fit stalled at misfit {misfit:.6g} without meeting "
+            "its gradient tolerance", best=point(res.x)[0])
+    return point(res.x)[0]
 
 
 # --- seminorm distance decomposition -------------------------------------------

@@ -1,10 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from s2flow.balance import (BALANCE_TOL, _conformal_center, _predict, balance,
                             center_functional)
-from s2flow.errors import (BalanceFailedError, PreconditionError,
+from s2flow.errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
                            PullbackUnderresolvedError)
 from s2flow.fields import SphereMap, constant_map, identity_map, mean
 from s2flow.mesh import build_icosphere
@@ -66,6 +68,15 @@ def test_failure_carries_best_iterate(mesh_l4):
     with pytest.raises(BalanceFailedError) as err:
         balance(u, tol=1e-300)
     assert err.value.best is not None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_tolerance_outside_its_domain_is_refused_before_any_pullback(
+        mesh_l2, monkeypatch, tol):
+    monkeypatch.setattr(importlib.import_module("s2flow.balance"), "pullback",
+                        lambda u, a: pytest.fail("pulled back"))
+    with pytest.raises(ParameterDomainError, match="tol"):
+        balance(perturbed(mesh_l2, seed=0), tol=tol)
 
 
 def test_identity_balances_at_coarse_levels():

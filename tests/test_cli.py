@@ -218,6 +218,19 @@ def test_non_finite_settings_are_exit_one(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("cmd, tol", [("balance", "nan"), ("balance", "inf"),
+                                      ("verify", "-1"), ("verify", "0")])
+def test_balance_tolerance_outside_its_domain_is_exit_one(tmp_path, capsys, cmd, tol):
+    src = tmp_path / "start.txt"
+    run_cli(capsys, "generate", "--kind", "perturbed_mobius", "--level", "2",
+            "--eps", "0.1", "--out", str(src))
+    where = [str(src)] if cmd == "balance" else ["--in", str(src)]
+    rc, out, err = run_cli(capsys, cmd, *where, "--tol", tol)
+    assert rc == 1
+    assert err.startswith("error:") and "tol" in err
+    assert out == ""
+
+
 def test_empty_sweep_family_is_exit_one(tmp_path, capsys):
     summ = tmp_path / "summary.json"
     rc, out, err = run_cli(capsys, "sweep", "--level", "2", "--seeds-per-eps", "0",

@@ -57,6 +57,8 @@ def test_bad_scheme_rejected():
         {"dt": math.inf},
         {"stop_tension": math.inf},
         {"t_max": math.inf},
+        {"record_every": 2.5},
+        {"record_every": True},
     ],
 )
 def test_nonpositive_config_values_rejected(kwargs):

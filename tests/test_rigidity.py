@@ -167,8 +167,8 @@ STRONG = [MobiusParams([0.9, 0.1, -0.2, 0.3], [-0.5, 0.6, -0.4]),
 
 @pytest.mark.parametrize("params", [
     BASE, *STRONG,
-    # the Procrustes start is the exact rotation and the misfit vanishes
-    # there: with |q| left free the solver drifts along it and stalls
+    # a dilation along a coordinate axis: the rotation solved at the start
+    # b = 0 is already the exact one, the identity
     MobiusParams([1, 0, 0, 0], [0.5, 0, 0]),
 ], ids=["base", "strong-a-0.88", "strong-a-0.85", "strong-a-0.9", "axis-a-0.5"])
 def test_fit_recovers_exact_sample(mesh_l4, params):
@@ -212,41 +212,76 @@ def test_mobius_composition_stays_in_the_family(mesh_l3, first, second):
 
 
 def _chart_point(params):
-    """The solver chart x = (q, b) of params: b = a / sqrt(A^2 - |a|^2)."""
+    """The fit's chart point b of params' dilation: b = a / sqrt(A^2 - |a|^2)."""
     a = params.a
-    return np.concatenate([params.quat,
-                           a / math.sqrt(A_NORM_MAX**2 - float(a @ a))])
+    return a / math.sqrt(A_NORM_MAX**2 - float(a @ a))
+
+
+def _solved_residual(u, b):
+    """The fit's residual at chart point b, with the rotation solved there."""
+    return rigidity._fit_point(u, b)[1]
 
 
 @pytest.mark.parametrize("mesh_name", ["mesh_l3", "mesh_l4"])
 def test_fit_jacobian_matches_central_differences(request, mesh_name):
     mesh = request.getfixturevalue(mesh_name)
+    h = 1e-6
+
+    def central(f, b):
+        return np.stack([(f(b + h * e) - f(b - h * e)) / (2 * h) for e in np.eye(3)],
+                        axis=-1)
+
+    # J^T r is the exact misfit gradient: the rotation is optimal at every b
     u = perturbed(mesh, eps=0.1, seed=0, mobius=BASE)
-    start = np.concatenate([rigidity._procrustes_quat(mesh, u.values), np.zeros(3)])
-    generic = np.array([0.7, -0.4, 1.3, 0.2, 0.5, -0.8, 0.3])
-    for x in [start, generic, *map(_chart_point, STRONG)]:
-        jac = fit_jacobian(u, x)
-        assert jac.shape == (3 * mesh.n_vertices, 7)
-        h = 1e-6
-        fd = np.stack([(fit_residuals(u, rigidity._params_from_x(x + h * e))
-                        - fit_residuals(u, rigidity._params_from_x(x - h * e)))
-                       / (2 * h) for e in np.eye(7)], axis=1)
-        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+    for b in [np.zeros(3), np.array([0.5, -0.8, 0.3]), *map(_chart_point, STRONG)]:
+        jac = fit_jacobian(u, b)
+        assert jac.shape == (3 * mesh.n_vertices, 3)
+        grad = 2.0 * jac.T @ _solved_residual(u, b)
+        fd = central(lambda c: np.sum(_solved_residual(u, c) ** 2), b)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+    # J itself is exact where the residual vanishes: exact samples at their b
+    for params in [BASE, *STRONG]:
+        u = sample(params, mesh)
+        b = _chart_point(params)
+        fd = central(lambda c: _solved_residual(u, c), b)
+        assert np.abs(fit_jacobian(u, b) - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_fit_of_a_flow_limit_takes_few_residual_evaluations(mesh_l4, monkeypatch):
     u = perturbed(mesh_l4, eps=0.2, seed=0, mobius=BASE)
     v, _ = run_flow(balance(u).balanced, default_flow_config(mesh_l4), degree=1)
     calls = []
+    fit_point = rigidity._fit_point
 
-    def counted(u, params):
-        calls.append(params)
-        return fit_residuals(u, params)
+    def counted(u, b):
+        calls.append(b)
+        return fit_point(u, b)
 
-    monkeypatch.setattr(rigidity, "fit_residuals", counted)
+    monkeypatch.setattr(rigidity, "_fit_point", counted)
     fit_mobius(v)
-    # about 55 with scipy's 2-point Jacobian, a handful with the closed form
-    assert 0 < len(calls) < 30
+    # 4 on this limit: the residual and the Jacobian share each evaluation
+    assert 0 < len(calls) <= 5
+
+
+def _stress_grid(level):
+    """perturbed_mobius starts at eps 0.2 and 0.5, seeds 0-14, with rotations
+    and dilations up to |a| = 0.85 drawn from one seeded generator."""
+    rng = np.random.default_rng(1)
+    for eps in (0.2, 0.5):
+        for seed in range(15):
+            quat = rng.uniform(-1.0, 1.0, 4)
+            direction = rng.uniform(-1.0, 1.0, 3)
+            m = MobiusParams(quat, rng.uniform(0.0, 0.85)
+                             * direction / np.linalg.norm(direction))
+            yield m, ScenarioSpec(kind="perturbed_mobius", level=level, seed=seed,
+                                  eps=eps, mobius=m)
+
+
+def test_fit_is_certified_and_beats_the_generator_on_a_stress_grid(mesh_l3):
+    for m, spec in _stress_grid(mesh_l3.level):
+        u = generate(spec, mesh_l3)
+        # fit_mobius raises FitFailedError on any fit it cannot certify
+        assert fit_objective(u, fit_mobius(u)) <= fit_objective(u, m), spec
 
 
 def test_fit_identity(mesh_l3):
@@ -263,7 +298,7 @@ def test_fit_beats_the_generating_parameters(mesh_l4):
 
 
 def test_fit_failure_carries_best_parameters(mesh_l3, monkeypatch):
-    # a one-evaluation budget per solve: no start can be certified
+    # a one-evaluation budget: the fit cannot be certified
     monkeypatch.setattr(scipy.optimize, "least_squares",
                         functools.partial(scipy.optimize.least_squares,
                                           max_nfev=1))
@@ -272,7 +307,7 @@ def test_fit_failure_carries_best_parameters(mesh_l3, monkeypatch):
         fit_mobius(u)
     best = exc.value.best
     assert isinstance(best, MobiusParams)
-    start = MobiusParams(rigidity._procrustes_quat(mesh_l3, u.values), np.zeros(3))
+    start = rigidity._fit_point(u, np.zeros(3))[0]
     assert fit_objective(u, best) <= fit_objective(u, start)
 
 
@@ -333,6 +368,12 @@ def test_verify_refuses_an_excess_limit_that_is_not_positive(mesh_l4, limit):
     # a NaN limit would compare false and switch the vacuous-regime guard off
     with pytest.raises(ParameterDomainError, match="excess_limit"):
         verify_rigidity(perturbed(mesh_l4, eps=0.1, seed=0), excess_limit=limit)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_verify_refuses_a_balance_tolerance_outside_its_domain(mesh_l2, tol):
+    with pytest.raises(ParameterDomainError, match="tol"):
+        verify_rigidity(perturbed(mesh_l2, eps=0.1, seed=0), tol=tol)
 
 
 def test_verify_mobius_sample(mesh_l4):

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Drive an unbalanced, strongly concentrated start into the flow and watch
-the concentration monitor catch the collapse.
+the degree monitor catch the collapse.
 
 The start is a dilation pushed to |a| = 0.95 (plus a small perturbation) that
-was deliberately NOT balanced.  Along the flow the local energy piles up near
-the attracting fixed point until either the local-energy detector or the
-degree monitor trips; the run then stops with status SingularityDetected.
-Contrast with a balanced start of the same excess, which converges.
+was deliberately NOT balanced.  The mesh cannot resolve the bubble near the
+attracting fixed point: the first semi-implicit step releases most of the
+energy and the face-sum degree drops from 1.  That step releases more than
+flow.COLLAPSE_DROP, so the degree monitor checks the degree right after it
+and the run stops there with status SingularityDetected; the concentration
+monitor does not fire at its default threshold.  Contrast with a balanced
+start of the same excess, which converges.
 
 Example:
     python3 scripts/singularity_demo.py --level 4 --trace demo_trace.csv

@@ -12,10 +12,14 @@ coordinates, which fills far less than a generic column ordering.
 A run records a trace (energy, tension, center of mass, degree, local energy
 concentration) every few steps, polices monotone energy decay (halving dt
 once per energy rise, counted in the trace), and stops on small tension, the
-time horizon, or a concentration event.  The local energy in every geodesic
-ball is one sparse matvec with a V x E operator, built once per (mesh,
-radius) from k-d tree ball pairs and one sparse product, taken over blocks
-of balls so that the build needs little more memory than the operator.
+time horizon, or a concentration event.  Between records the degree is
+checked only after a step that releases more than COLLAPSE_DROP, as a
+collapse does, so a lost degree stops the run at the step that lost it.
+
+The local energy in every geodesic ball is one sparse matvec with a V x E
+operator, built once per (mesh, radius) from k-d tree ball pairs and one
+sparse product, taken over blocks of balls so that the build needs little
+more memory than the operator.
 """
 
 import math
@@ -38,6 +42,7 @@ ENERGY_SLACK = 1e-9          # relative per-step energy increase tolerance
 SOLVE_RTOL = 1e-10           # semi-implicit residual guard
 CERTIFICATE_RTOL = 1e-6      # relative slack of the displacement certificates
 CONCENTRATION_THRESHOLD = FOUR_PI - 1.0
+COLLAPSE_DROP = math.pi      # a quarter bubble: one step's release that checks the degree
 ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
 BALL_BLOCK = 4096            # concentration operator: balls per product block
 PAIR_BLOCK = 1 << 18         # concentration operator: pairs per filter block
@@ -312,8 +317,12 @@ def run_flow(u0, cfg=None, *, degree=None):
     displacement certificates compare against.  The degree monitor guards
     `degree` when it is given (a first sample of another or no degree ends
     the run as SingularityDetected), else the first sample's degree if that
-    resolves.
+    resolves.  Between records the degree is checked after every step that
+    releases more energy than COLLAPSE_DROP; a changed degree there ends the
+    run as SingularityDetected at that step.
     """
+    if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
+        raise ParameterDomainError("degree must be an integer or None")
     cfg = cfg or FlowConfig()
     mesh = u0.mesh
     dt = cfg.dt if cfg.dt is not None else default_dt(mesh, cfg.scheme)
@@ -322,10 +331,10 @@ def run_flow(u0, cfg=None, *, degree=None):
     t, nstep, path_len = 0.0, 0, 0.0
     last_recorded = -1
     degree_ref = degree
+    lost = False
 
-    def record():
+    def record(deg):
         nonlocal last_recorded, degree_ref
-        deg = _sampled_degree(u)
         flag, max_local, _ = detect_concentration(u, cfg)
         trace.samples.append(FlowSample(
             t=t, energy=state.energy, tension_sq=state.tau_sq,
@@ -342,7 +351,7 @@ def run_flow(u0, cfg=None, *, degree=None):
 
     while True:
         if nstep % cfg.record_every == 0:
-            if record():
+            if record(_sampled_degree(u)):
                 trace.status = "SingularityDetected"
                 break
         if math.sqrt(state.tau_sq) <= cfg.stop_tension:
@@ -362,12 +371,20 @@ def run_flow(u0, cfg=None, *, degree=None):
                 raise EnergyMonotonicityError(
                     f"energy rose from {state.energy:.12g} to "
                     f"{state_next.energy:.12g} even after halving dt to {dt:g}")
+        released = state.energy - state_next.energy
         path_len += dt * math.sqrt(state.tau_sq)
         t += dt
         nstep += 1
         u, state = u_next, state_next
+        # a collapse releases twice COLLAPSE_DROP or more in one step, a
+        # smooth step under a tenth of it: only the former pays for a degree
+        if degree_ref is not None and released > COLLAPSE_DROP:
+            deg = _sampled_degree(u)
+            lost = deg != degree_ref
+            if lost:
+                break
 
-    if last_recorded != nstep and record():
+    if last_recorded != nstep and record(deg if lost else _sampled_degree(u)):
         trace.status = "SingularityDetected"
     trace.dt, trace.steps = dt, nstep
     trace.degree_monitored = degree_ref is not None

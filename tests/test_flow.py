@@ -11,6 +11,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve, splu
 
 import s2flow.flow as flow_mod
+from s2flow.balance import balance
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
                            ParameterDomainError, StepDegenerateError)
 from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
@@ -21,7 +22,7 @@ from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
 from s2flow.mesh import build_icosphere, locate_batch
 from s2flow.mobius import MobiusParams, sample
 from s2flow.rigidity import default_flow_config, tension_floor
-from s2flow.scenarios import ScenarioSpec, generate
+from s2flow.scenarios import ScenarioSpec, generate, standard_family
 
 BASE = MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, -0.15, 0.2]))
 
@@ -149,6 +150,13 @@ def test_concentrated_start_is_detected_as_singular(mesh_l4):
     assert trace.status == "SingularityDetected"
     degs = [s.degree for s in trace.samples]
     assert degs[0] == 1 and degs[-1] != 1
+    # the first step releases the bubble and loses the degree; the run stops
+    # there, not at the next periodic record
+    assert trace.steps == 1 and len(trace.samples) == 2
+    assert trace.samples[-1].t == trace.dt
+    # the default records every 10 steps; recording every step stops alike
+    _, every = run_flow(u0, default_flow_config(mesh_l4, record_every=1))
+    assert every.status == "SingularityDetected" and every.steps == 1
 
 
 def test_local_energy_matches_profile(mesh_l3):
@@ -458,3 +466,61 @@ def test_known_degree_catches_a_start_that_resolves_to_another(mesh_l3):
     _, trace = run_flow(u0, cfg, degree=1)
     assert trace.status == "SingularityDetected"
     assert len(trace.samples) == 1 and trace.degree_monitored
+
+
+@pytest.mark.parametrize("degree", ["1", 1.5, True])
+def test_run_flow_refuses_a_degree_that_is_not_an_integer(mesh_l3, degree):
+    with pytest.raises(ParameterDomainError):
+        run_flow(perturbed(mesh_l3), default_flow_config(mesh_l3), degree=degree)
+
+
+@pytest.fixture(scope="module")
+def balanced_l4_family(mesh_l4):
+    return [balance(generate(spec, mesh_l4)).balanced
+            for spec in standard_family(4)]
+
+
+def _same_trace(a, b):
+    assert (a.status, a.steps, a.dt, a.dt_halvings) == (
+        b.status, b.steps, b.dt, b.dt_halvings)
+    assert len(a.samples) == len(b.samples) == len(a.snapshots) == len(b.snapshots)
+    for x, y in zip(a.samples, b.samples):
+        assert (x.t, x.energy, x.tension_sq, x.degree, x.max_local,
+                x.path_length) == (y.t, y.energy, y.tension_sq, y.degree,
+                                   y.max_local, y.path_length)
+        assert np.array_equal(x.mean, y.mean)
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(x.values, y.values)
+
+
+def test_collapse_check_has_no_side_effects(mesh_l4, balanced_l4_family,
+                                            monkeypatch):
+    cfg = default_flow_config(mesh_l4)
+    plain = [run_flow(u, cfg, degree=1)[1] for u in balanced_l4_family]
+    calls = []
+    sampled = flow_mod._sampled_degree
+    monkeypatch.setattr(flow_mod, "_sampled_degree",
+                        lambda u: calls.append(1) or sampled(u))
+    # every step now checks the degree
+    monkeypatch.setattr(flow_mod, "COLLAPSE_DROP", -math.inf)
+    for u0, trace in zip(balanced_l4_family, plain):
+        calls.clear()
+        _, checked = run_flow(u0, cfg, degree=1)
+        assert len(calls) == checked.steps + len(checked.samples)
+        _same_trace(checked, trace)
+
+
+def test_collapse_drop_separates_collapse_from_smooth_steps(
+        mesh_l4, balanced_l4_family):
+    cfg = default_flow_config(mesh_l4, record_every=1)
+    drops = []
+    for u0 in balanced_l4_family:
+        _, trace = run_flow(u0, cfg, degree=1)
+        drops.extend(-np.diff([s.energy for s in trace.samples]))
+    # 0.038 in the family against 9.03 for the collapse start
+    assert max(drops) < flow_mod.COLLAPSE_DROP / 10
+    spec = ScenarioSpec(kind="concentrated_unbalanced", level=4, seed=1,
+                        eps=0.05, a_norm=0.95)
+    _, trace = run_flow(generate(spec, mesh_l4), cfg)
+    first, second = trace.samples[:2]
+    assert first.energy - second.energy > 2 * flow_mod.COLLAPSE_DROP

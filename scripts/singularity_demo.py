@@ -8,8 +8,10 @@ attracting fixed point: the first semi-implicit step releases most of the
 energy and the face-sum degree drops from 1.  That step releases more than
 flow.COLLAPSE_DROP, so the degree monitor checks the degree right after it
 and the run stops there with status SingularityDetected; the concentration
-monitor does not fire at its default threshold.  Contrast with a balanced
-start of the same excess, which converges.
+monitor does not fire at its default threshold.  The monitor is armed on
+degree 1, the start's degree by construction: a start so concentrated that
+the mesh already resolves it to another degree stops at its first sample.
+Contrast with a balanced start of the same excess, which converges.
 
 Example:
     python3 scripts/singularity_demo.py --level 4 --trace demo_trace.csv
@@ -39,7 +41,7 @@ def main(argv=None):
                         seed=args.seed, eps=args.eps, a_norm=args.a_norm)
     u0 = generate(spec, mesh)
     cfg = default_flow_config(mesh, record_every=args.record_every)
-    _, trace = run_flow(u0, cfg)
+    _, trace = run_flow(u0, cfg, degree=1)
 
     print(f"{'t':>8} {'energy':>10} {'degree':>6} {'max_local':>10} {'|mean|':>8}")
     for s in trace.samples:

@@ -11,11 +11,12 @@ mu_{-a} being the stretch of phi_{-a} (mobius.conformal_factor).  Its
 discrete form Phi~(a) = sum_i A_i mu_{-a}(x_i)^2 u_i / sum_i A_i and the
 derivative of that sum in a are closed-form over the mesh vertices and need
 no point location; the root of Phi~ lies O(h^2) from the root of the
-located Phi.  So balancing predicts a* by damped Newton on Phi~ and then
-corrects it by a chord Newton on the located Phi, stepping with Phi~'s
-Jacobian: one located pullback per corrector step, usually two in all.  The
-balanced representative u o phi_{a*} is the right starting point for the
-flow: its center of mass stays small, which is what rules out concentration.
+located Phi.  So balancing predicts a* as the root of Phi~ over the dilation
+chart (mobius.solve_over_dilation), then corrects it by a chord Newton on
+the located Phi with Phi~'s Jacobian: one located pullback per corrector
+step, usually two in all.  The balanced representative u o phi_{a*} is the
+right starting point for the flow: its center of mass stays small, which is
+what rules out concentration.
 """
 
 import math
@@ -26,14 +27,11 @@ import numpy as np
 from .errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
                      PullbackUnderresolvedError)
 from .fields import SphereMap, degree, mean
-from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, max_pullback_radius,
-                     pullback)
+from .mobius import (conformal_factor, dilation_chart, max_pullback_radius, pullback,
+                     solve_over_dilation)
 
 BALANCE_TOL = 1e-6   # |Phi(a*)| a balanced map reaches unless told otherwise
-MAX_ITER = 60        # steps of the predictor, and of the corrector
-MAX_HALVINGS = 8
-
-_NO_ROTATION = np.array([1.0, 0.0, 0.0, 0.0])
+MAX_ITER = 60        # evaluations of the predictor, and steps of the corrector
 
 
 @dataclass
@@ -58,39 +56,26 @@ def _conformal_center(u, a):
     """
     mesh = u.mesh
     x = mesh.vertices
-    mu = conformal_factor(MobiusParams(_NO_ROTATION, -a), x)
+    mu = conformal_factor(-a, x)
     w = mesh.vertex_areas * mu * mu
     w /= mesh.vertex_areas.sum()
     dw = w[:, None] * (mu[:, None] * (x - a) - a)
     return w @ u.values, (u.values.T @ dw) * (4.0 / (1.0 - float(a @ a)))
 
 
-def _predict(u, tol):
-    """Root of Phi~ by damped Newton from a = 0, and Phi~'s Jacobian there.
+def _predict(u):
+    """Root of Phi~ over the dilation chart, and Phi~'s Jacobian in a there.
 
-    Runs to |Phi~| <= tol / 1000, far below the O(h^2) gap to the located
-    root.  Steps are halved until |Phi~| decreases inside |a| < A_NORM_MAX;
-    an undamped step overshoots the unit ball on a pure 0.6 dilation.  A
-    step that cannot decrease |Phi~| ends the prediction where it stands.
+    The chart keeps every iterate inside the ball, which an undamped Newton
+    step on a pure 0.6 dilation leaves.  A start with no root in the chart
+    stops after MAX_ITER evaluations near its rim, where balance refuses it.
     """
-    a = np.zeros(3)
-    phi, jac = _conformal_center(u, a)
-    res = float(np.linalg.norm(phi))
-    for _ in range(MAX_ITER):
-        if res <= 1e-3 * tol:
-            break
-        d = np.linalg.lstsq(jac, -phi, rcond=None)[0]
-        for k in range(MAX_HALVINGS + 1):
-            cand = a + 0.5 ** k * d
-            if np.linalg.norm(cand) < A_NORM_MAX:
-                cand_phi, cand_jac = _conformal_center(u, cand)
-                cand_res = float(np.linalg.norm(cand_phi))
-                if cand_res < res:
-                    a, phi, jac, res = cand, cand_phi, cand_jac, cand_res
-                    break
-        else:
-            break
-    return a, jac
+    def point(b):
+        a, da_db = dilation_chart(b)
+        phi, jac = _conformal_center(u, a)
+        return (a, jac), phi, jac @ da_db
+
+    return solve_over_dilation(point, max_nfev=MAX_ITER)[1]
 
 
 def balance(u, tol=BALANCE_TOL):
@@ -99,16 +84,17 @@ def balance(u, tol=BALANCE_TOL):
     Predicts a* as the root of the change-of-variables centre Phi~, then
     corrects it with chord Newton steps on the located Phi, each taking one
     `pullback` and Phi~'s Jacobian at the prediction.  MAX_ITER bounds the
-    steps of each stage.  The result carries the balanced map u o phi_{a*}.
-    Raises PullbackUnderresolvedError at once when the predicted a* lies
-    beyond `max_pullback_radius`, and BalanceFailedError carrying the best
-    located iterate when the corrector stops contracting or runs out of steps.
+    prediction's evaluations and the corrector's steps.  The result carries
+    the balanced map u o phi_{a*}.  Raises PullbackUnderresolvedError at once
+    when the predicted a* lies beyond `max_pullback_radius`, and
+    BalanceFailedError carrying the best located iterate when the corrector
+    stops contracting or runs out of steps.
     """
     if not 0.0 < tol < math.inf:  # refuses NaN too
         raise ParameterDomainError(f"tol must be positive and finite, got {tol}")
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")
-    a, jac = _predict(u, tol)
+    a, jac = _predict(u)
     a_max = max_pullback_radius(u.mesh)
     if np.linalg.norm(a) > a_max:
         raise PullbackUnderresolvedError(

@@ -6,6 +6,9 @@ phi_a fixes +-a/|a|, does not rotate the tangent planes there, and in the
 stereographic chart centered on a/|a| acts as z -> z/lambda with
 lambda = (1+|a|)/(1-|a|).  Its conformal (harmonic) extension to the ball
 sends the origin to a, which is what makes `a` the natural centering knob.
+
+Balancing's prediction and the conformal fit both solve over a with
+solve_over_dilation, in one chart of the ball (dilation_chart).
 """
 
 import math
@@ -146,19 +149,48 @@ def eval_mobius(params, x):
     return eval_phi(params.a, x) @ params.rotation.T
 
 
-def conformal_factor(params, x):
-    """Pointwise stretch mu of the map at domain points x.
+def conformal_factor(a, x):
+    """Pointwise stretch mu of the dilation phi_a at domain points x.
 
     mu = (1 - |a|^2) / |x + a|^2, with eval_phi's denominator
     1 + 2<a,x> + |a|^2 for |x + a|^2.  It runs from 1/lambda at the
     attracting fixed point to lambda at the repelling one, and is exactly 1
-    at a = 0.  Rotations are isometries and leave mu unchanged.  The
-    Dirichlet density of the map is 2 mu^2.
+    at a = 0.  Rotations are isometries, so it is also the stretch of any
+    Mobius map with dilation a.  The Dirichlet density of the map is 2 mu^2.
     """
-    a = params.a
+    a = np.asarray(a, dtype=float)
     rho_sq = float(a @ a)
     out = (1.0 - rho_sq) / (1.0 + 2.0 * (np.atleast_2d(x) @ a) + rho_sq)
     return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def dilation_chart(b):
+    """(a, da/db) of the chart a = A_NORM_MAX b / sqrt(1 + |b|^2), R^3 onto the ball."""
+    s = math.sqrt(1.0 + float(b @ b))
+    return A_NORM_MAX * b / s, A_NORM_MAX * (np.eye(3) - np.outer(b, b) / (s * s)) / s
+
+
+def solve_over_dilation(point, **options):
+    """Levenberg-Marquardt over the dilation chart from b = 0: (result, state).
+
+    point(b) gives (state, residual, jacobian in b), cached on the last b so
+    the residual and Jacobian calls share it; `options` go to least_squares.
+    """
+    # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
+    from scipy.optimize import least_squares
+
+    last = {}
+
+    def cached(b):
+        key = b.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = point(b)
+        return last[key]
+
+    res = least_squares(lambda b: cached(b)[1], np.zeros(3), method="lm",
+                        jac=lambda b: cached(b)[2], **options)
+    return res, cached(res.x)[0]
 
 
 def sample(params, mesh):

@@ -22,9 +22,8 @@ and the map eventually slides to concentration and collapses to a constant).
 The flow limit is also compared with its nearest conformal map (fit_mobius):
 a Levenberg-Marquardt least-squares fit of the gradient-weighted misfit over
 the dilation a alone, with the rotation solved in closed form (a weighted
-Procrustes problem) at every a.  fit_residuals is the residual vector,
-fit_objective its squared norm and fit_jacobian the residual's closed-form
-derivative in the solver's chart, projected off the rotation.
+Procrustes problem) at every a, by mobius.solve_over_dilation as balancing
+does.  fit_objective is the misfit of any given parameters.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
                      l2_dist_sq, l2_norm_sq, mean, tension)
 from .flow import FlowConfig, run_flow
 from .mesh import build_icosphere
-from .mobius import (A_NORM_MAX, MobiusParams, conformal_factor, eval_phi_jet,
-                     params_to_line, quat_from_matrix, sample)
+from .mobius import (MobiusParams, conformal_factor, dilation_chart, eval_phi_jet,
+                     params_to_line, quat_from_matrix, sample, solve_over_dilation)
 from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
@@ -151,43 +150,42 @@ def _weighted_residual(u, v, mu):
     return (w[:, None] * (u.values - v)).ravel()
 
 
-def fit_residuals(u, params):
-    """Flattened residual sqrt(2 A_i) mu_i (u_i - v_i) for v = sample(params).
-
-    Its squared norm is fit_objective; 2*mu^2 is the Dirichlet density of v.
-    """
-    mesh = u.mesh
-    return _weighted_residual(u, sample(params, mesh).values,
-                              conformal_factor(params, mesh.vertices))
-
-
 def fit_objective(u, params):
     """Weighted misfit sum_i A_i |u_i - v_i|^2 * 2*mu_i^2 for v = sample(params).
 
     Because the conformal family has constant Dirichlet energy, minimizing
     the seminorm distance to the family reduces to minimizing this quantity
-    (the gradient-weighted L2 misfit).
+    (the gradient-weighted L2 misfit); 2*mu^2 is the Dirichlet density of v.
     """
-    r = fit_residuals(u, params)
+    mesh = u.mesh
+    r = _weighted_residual(u, sample(params, mesh).values,
+                           conformal_factor(params.a, mesh.vertices))
     return float(r @ r)
 
 
 def _fit_point(u, b):
     """(params, residual, jacobian) of the fit at chart point b.
 
-    The chart maps b in R^3 into the ball, a = A_NORM_MAX b / sqrt(1 + |b|^2).
-    For that a the rotation is solved in closed form: with W = 2 A mu^2 the
-    misfit sum_i W_i |u_i - R phi_a(x_i)|^2 is least at the rotation factor of
-    sum_i W_i u_i phi_a(x_i)^T (one 3x3 SVD, with the determinant fix).  The
-    residual is _weighted_residual against R phi_a, and the jacobian is
-    fit_jacobian's.
+    For a = mobius.dilation_chart(b) the rotation is solved in closed form:
+    with W = 2 A mu^2 the misfit sum_i W_i |u_i - R phi_a(x_i)|^2 is least at
+    the rotation factor of sum_i W_i u_i phi_a(x_i)^T (one 3x3 SVD, with the
+    determinant fix).  The residual is _weighted_residual against R phi_a.
+    The (3V, 3) jacobian is its closed-form derivative in b: with
+    r_i = w_i mu_i (u_i - R phi_a(x_i)), w_i = sqrt(2 A_i),
+      - in a: phi_a and dphi/da come from one mobius.eval_phi_jet call, and
+        the stretch mu = conformal_factor = (1 - |a|^2) / |x + a|^2 has
+        dmu/da = -2 mu (a + mu (x + a)) / (1 - |a|^2);
+      - in b: da/db from the chart.
+    R is re-solved at every b, so these three columns are projected off the
+    rotation columns -w mu (e_k x R phi) (Kaufman's variable projection).
+    Because R is optimal, J^T r is the exact gradient of the misfit in b,
+    and J is exact wherever r = 0.
     """
     mesh = u.mesh
     pts = mesh.vertices
-    s = math.sqrt(1.0 + float(b @ b))
-    a = A_NORM_MAX * b / s
+    a, da_db = dilation_chart(b)
     phi, dphi_da = eval_phi_jet(a, pts)
-    mu = conformal_factor(MobiusParams([1.0, 0.0, 0.0, 0.0], a), pts)
+    mu = conformal_factor(a, pts)
     w = np.sqrt(2.0 * mesh.vertex_areas)
     wmu = (w * mu)[:, None]
     uu, _, vt = np.linalg.svd((wmu * wmu * u.values).T @ phi)
@@ -195,7 +193,6 @@ def _fit_point(u, b):
     v = phi @ rot.T
     diff = u.values - v
 
-    da_db = A_NORM_MAX * (np.eye(3) - np.outer(b, b) / (s * s)) / s
     # one (3V, 3) product: a batched (3, 3) matmul per vertex is far slower
     dphi_db = (dphi_da.reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
     dmu_db = (-2.0 * mu[:, None] * (a + mu[:, None] * (pts + a))
@@ -213,54 +210,24 @@ def _fit_point(u, b):
     return params, _weighted_residual(u, v, mu), jac
 
 
-def fit_jacobian(u, b):
-    """Closed-form (3V, 3) derivative of the fit's residual in the chart b.
-
-    With r_i = w_i mu_i (u_i - R phi_a(x_i)), w_i = sqrt(2 A_i):
-      - in a: phi_a and dphi/da come from one mobius.eval_phi_jet call, and
-        the stretch mu = conformal_factor = (1 - |a|^2) / |x + a|^2 has
-        dmu/da = -2 mu (a + mu (x + a)) / (1 - |a|^2);
-      - in b: da/db = A_NORM_MAX (I - b b^T / (1 + |b|^2)) / sqrt(1 + |b|^2).
-    R is re-solved at every b (see _fit_point), so these three columns are
-    projected off the rotation columns -w mu (e_k x R phi) (Kaufman's
-    variable projection).  Because R is optimal, J^T r is the exact gradient
-    of the misfit in b, and J is exact wherever r = 0.
-    """
-    return _fit_point(u, b)[2]
-
-
 def fit_mobius(u):
     """Best conformal approximation of u by least squares over the dilation.
 
-    Levenberg-Marquardt (scipy.optimize.least_squares, ftol FIT_FTOL) on the
+    mobius.solve_over_dilation (Levenberg-Marquardt, ftol FIT_FTOL) on the
     three chart coordinates b of the dilation, from b = 0, with the rotation
-    solved in closed form at every point and the projected fit_jacobian.
-    The residual and the Jacobian share one _fit_point per chart point.  The
-    fit is certified when the solver converged and the misfit gradient norm
-    is at most 1e-5 * (1 + misfit); otherwise FitFailedError carries the
-    lowest-misfit parameters the solver reached.
+    solved in closed form at every point and _fit_point's projected
+    Jacobian.  The fit is certified when the solver converged and the misfit
+    gradient norm is at most 1e-5 * (1 + misfit); otherwise FitFailedError
+    carries the lowest-misfit parameters the solver reached.
     """
-    # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
-    from scipy.optimize import least_squares
-
-    last = {}
-
-    def point(b):
-        key = b.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _fit_point(u, b)
-        return last[key]
-
-    res = least_squares(lambda b: point(b)[1], np.zeros(3), method="lm",
-                        jac=lambda b: point(b)[2], ftol=FIT_FTOL)
+    res, best = solve_over_dilation(lambda b: _fit_point(u, b), ftol=FIT_FTOL)
     misfit = 2.0 * res.cost
     if not (res.status > 0
             and 2.0 * float(np.linalg.norm(res.grad)) <= 1e-5 * (1.0 + misfit)):
         raise FitFailedError(
             f"conformal fit stalled at misfit {misfit:.6g} without meeting "
-            "its gradient tolerance", best=point(res.x)[0])
-    return point(res.x)[0]
+            "its gradient tolerance", best=best)
+    return best
 
 
 # --- seminorm distance decomposition -------------------------------------------

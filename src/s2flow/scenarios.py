@@ -23,7 +23,11 @@ from .mesh import MAX_LEVEL, row_norms
 # pullback is unused here, but perfbench traces s2flow.scenarios.pullback
 from .mobius import MobiusParams, pullback, sample  # noqa: F401
 
-KINDS = ("mobius", "rational_k", "perturbed_mobius", "concentrated_unbalanced")
+# the fields each kind reads besides level and seed; setting another is refused
+READS = {"mobius": ("mobius",), "rational_k": ("k",),
+         "perturbed_mobius": ("mobius", "eps"),
+         "concentrated_unbalanced": ("eps", "a_norm")}
+KINDS = tuple(READS)
 
 EPS_MAX = 0.5
 
@@ -55,6 +59,11 @@ class ScenarioSpec:
         _check_level_and_seed(self.level, self.seed)
         if not 0.0 <= self.eps <= EPS_MAX:
             raise ParameterDomainError(f"eps must lie in [0, {EPS_MAX}]")
+        given = {"mobius": self.mobius is not None, "k": self.k is not None,
+                 "eps": self.eps != 0.0, "a_norm": self.a_norm is not None}
+        unread = [f for f, is_set in given.items() if is_set and f not in READS[self.kind]]
+        if unread:
+            raise ParameterDomainError(f"{self.kind} does not read {', '.join(unread)}")
         if self.kind == "rational_k":
             if self.k is None or not -4 <= self.k <= 4 or self.k == 0:
                 raise ParameterDomainError("rational_k needs k in [-4, 4], k != 0")
@@ -141,7 +150,7 @@ def generate(spec, mesh):
         return _rational_k(mesh, spec.k)
     if spec.kind == "perturbed_mobius":
         return _perturb(sample(params, mesh), spec.eps, rng)
-    # concentrated_unbalanced: a pure dilation along a seeded axis (spec.mobius unused)
+    # concentrated_unbalanced: a pure dilation along a seeded axis
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     dilation = MobiusParams(np.array([1.0, 0.0, 0.0, 0.0]), spec.a_norm * axis)

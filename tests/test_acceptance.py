@@ -209,6 +209,20 @@ def test_criterion_09_excess_tension_stability(sweep_l4, sweep_l5):
     print(f"criterion 9: excess/tension^2 max level4={e4:.4f} level5={e5:.4f}")
 
 
+@pytest.mark.parametrize("level, ratio_max, excess_tension_ratio_max", [
+    (4, 2.836693356977, 0.1260604290797),
+    (5, 2.920879403594, 0.1258401125694),
+])
+def test_sweep_constants_do_not_drift(sweep_l4, sweep_l5, level, ratio_max,
+                                      excess_tension_ratio_max):
+    """The two empirical constants of the standard-family sweeps hold to
+    1e-8 relative: any move beyond rounding needs an explanation."""
+    summary = {4: sweep_l4, 5: sweep_l5}[level][1]
+    assert summary["ratio_max"] == pytest.approx(ratio_max, rel=1e-8)
+    assert summary["excess_tension_ratio_max"] == pytest.approx(
+        excess_tension_ratio_max, rel=1e-8)
+
+
 def test_criterion_10_no_bubbling_monitor(sweep_l4, sweep_l5, mesh_l4):
     """No converged balanced run ever trips the concentration monitor; the
     deliberately concentrated unbalanced demo is reported (not asserted)."""

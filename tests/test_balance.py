@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from s2flow.balance import (BALANCE_TOL, _conformal_center, _predict, balance,
+from s2flow.balance import (MAX_ITER, _conformal_center, _predict, balance,
                             center_functional)
 from s2flow.errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
                            PullbackUnderresolvedError)
 from s2flow.fields import SphereMap, constant_map, identity_map, mean
 from s2flow.mesh import build_icosphere
-from s2flow.mobius import MobiusParams, max_pullback_radius, pullback, quat_to_matrix, sample
+from s2flow.mobius import (A_NORM_MAX, MobiusParams, max_pullback_radius, pullback,
+                           quat_to_matrix, sample)
 from s2flow.scenarios import ScenarioSpec, generate, standard_family
 
 OFF_AXIS = ([0.1, -0.2, 0.15], [-0.05, 0.12, 0.3], [0.15, 0.25, -0.2])
@@ -124,10 +125,44 @@ def test_predictor_gap_shrinks_like_h_squared(mesh_l3, mesh_l4, mesh_l5):
         gap = 0.0
         for spec in standard_family(mesh.level)[::3]:
             u = generate(spec, mesh)
-            predicted = _predict(u, BALANCE_TOL)[0]
+            predicted = _predict(u)[0]
             gap = max(gap, float(np.linalg.norm(predicted - balance(u).a_star)))
         gaps.append(gap)
     assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2]
+
+
+@pytest.mark.parametrize("rho", [0.35, 0.6, 0.9])
+def test_predictor_finds_the_root_of_a_pure_dilation_inside_the_chart(
+        mesh_l4, mesh_l5, rho):
+    # an undamped Newton step from a = 0 leaves the unit ball on the 0.6 and
+    # 0.9 dilations; the chart keeps every iterate inside it, where each has
+    # its root
+    for mesh in (mesh_l4, mesh_l5):
+        u = sample(MobiusParams(np.array([1.0, 0, 0, 0]), np.array([0, 0, rho])), mesh)
+        a = _predict(u)[0]
+        assert np.linalg.norm(a) < A_NORM_MAX
+        assert np.linalg.norm(_conformal_center(u, a)[0]) <= 1e-12
+
+
+def test_prediction_without_a_root_stops_and_is_refused_before_any_pullback(
+        mesh_l4, monkeypatch):
+    # the predictor reaches no root of the change-of-variables centre on this
+    # start (|Phi~| stays near 0.2 as |a| nears A_NORM_MAX): it stops after
+    # MAX_ITER evaluations near the rim, beyond the level-4 guard 0.738
+    spec = ScenarioSpec(kind="perturbed_mobius", level=4, seed=2, eps=0.05,
+                        mobius=MobiusParams(np.array([-0.68, -0.18, -0.55, -0.44]),
+                                            np.array([0.63, -0.55, -0.04])))
+    u = generate(spec, mesh_l4)
+    module = importlib.import_module("s2flow.balance")
+    evals, pulls = [], []
+    center = module._conformal_center
+    monkeypatch.setattr(module, "_conformal_center",
+                        lambda u, a: evals.append(a) or center(u, a))
+    monkeypatch.setattr(module, "pullback", lambda u, a: pulls.append(a) or pullback(u, a))
+    with pytest.raises(PullbackUnderresolvedError, match="refine the mesh"):
+        balance(u)
+    assert 0 < len(evals) <= MAX_ITER
+    assert pulls == []
 
 
 @settings(max_examples=25)

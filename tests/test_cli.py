@@ -82,6 +82,15 @@ def test_domain_error_is_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_generate_refuses_a_field_its_kind_does_not_read(tmp_path, capsys):
+    out_path = tmp_path / "m.txt"
+    rc, _, err = run_cli(capsys, "generate", "--kind", "mobius", "--level", "2",
+                         "--eps", "0.3", "--seed", "4", "--out", str(out_path))
+    assert rc == 1
+    assert "does not read eps" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--kind", "perturbed_mobius", "--level", "2", "--eps", "0.1",
      "--seed", "-1"),

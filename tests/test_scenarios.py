@@ -106,6 +106,25 @@ def test_spec_validation():
         ScenarioSpec(kind="concentrated_unbalanced", level=3, a_norm=0.5)
 
 
+@pytest.mark.parametrize("kwargs, unread", [
+    ({"kind": "mobius", "eps": 0.3}, "eps"),
+    ({"kind": "rational_k", "k": 2, "eps": 0.1}, "eps"),
+    ({"kind": "rational_k", "k": 2, "mobius": BASE}, "mobius"),
+    ({"kind": "concentrated_unbalanced", "a_norm": 0.92, "mobius": BASE}, "mobius"),
+    ({"kind": "mobius", "k": 2}, "k"),
+    ({"kind": "perturbed_mobius", "eps": 0.1, "k": 2}, "k"),
+    ({"kind": "concentrated_unbalanced", "a_norm": 0.92, "k": 2}, "k"),
+    ({"kind": "mobius", "a_norm": 0.92}, "a_norm"),
+    ({"kind": "rational_k", "k": 2, "a_norm": 0.92}, "a_norm"),
+    ({"kind": "perturbed_mobius", "eps": 0.1, "a_norm": 0.92}, "a_norm"),
+])
+def test_spec_refuses_a_field_its_kind_does_not_read(kwargs, unread):
+    # generate would ignore the field, and the saved spec would record it;
+    # the seed names the case, so every kind accepts it
+    with pytest.raises(ParameterDomainError, match=f"does not read {unread}$"):
+        ScenarioSpec(level=3, seed=4, **kwargs)
+
+
 @pytest.mark.parametrize("level, seed", [
     (-1, 0), (MAX_LEVEL + 1, 0), (2.5, 0), ("3", 0), (True, 0), (np.int64(3), 0),
     (3, -1), (3, 1.0), (3, None)])

@@ -52,3 +52,15 @@ def test_singularity_demo(tmp_path, capsys):
     assert rc == 0
     assert trace.read_text().split("\n")[0] == TRACE_HEADER
     assert "status:" in capsys.readouterr().out
+
+
+def test_singularity_demo_arms_the_monitor_on_degree_one(capsys):
+    # this start resolves to face-sum degree 0 at level 4; armed on its own
+    # first sample the monitor would watch a constant map flow to Converged
+    rc = load_script("singularity_demo").main(
+        ["--level", "4", "--a-norm", "0.97", "--seed", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[-1] == "status: SingularityDetected"
+    assert len(lines) == 3  # the header and the first sample only
+    assert lines[1].split()[2] == "0"

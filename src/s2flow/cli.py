@@ -162,7 +162,7 @@ def cmd_energy(args):
         "degree": degree(u),
         "energy": energy(u),
         "mean": [float(c) for c in mean(u)],
-        "tension_l2": math.sqrt(l2_norm_sq(tension(u))),
+        "tension_l2": math.sqrt(l2_norm_sq(tension(u), u.mesh)),
     })
     return 0
 

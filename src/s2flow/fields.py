@@ -36,29 +36,6 @@ class SphereMap:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class TangentField:
-    """A vector per vertex, orthogonal to the companion map's values there."""
-
-    base: SphereMap
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.vectors, dtype=float)
-        if vec.shape != self.base.values.shape:
-            raise ValueError("vectors must match the base map's shape")
-        dots = np.abs(np.einsum("ij,ij->i", vec, self.base.values))
-        norms = row_norms(vec)
-        if (dots > 1e-10 * norms + 1e-300).any():
-            raise ValueError("vectors must be tangent to the base map")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vectors", vec)
-
-    @property
-    def mesh(self):
-        return self.base.mesh
-
-
 def identity_map(mesh):
     return SphereMap(mesh, mesh.vertices)
 
@@ -67,10 +44,6 @@ def constant_map(mesh, c):
     c = np.asarray(c, dtype=float)
     c = c / np.linalg.norm(c)
     return SphereMap(mesh, np.tile(c, (mesh.n_vertices, 1)))
-
-
-def _as_vectors(t):
-    return t.vectors if isinstance(t, TangentField) else np.asarray(t, dtype=float)
 
 
 def energy_and_tension(u):
@@ -132,17 +105,14 @@ def degree(u):
 
 
 def tension(u):
-    """Tangential part of the vector Laplacian (see energy_and_tension)."""
-    return TangentField(u, energy_and_tension(u)[1])
+    """The (V, 3) tension array of u: the tangential part of the vector
+    Laplacian (see energy_and_tension)."""
+    return energy_and_tension(u)[1]
 
 
-def l2_norm_sq(t, mesh=None):
-    """Mass-weighted squared L2 norm of a tangent (or plain) vector field."""
-    vec = _as_vectors(t)
-    mesh = t.mesh if isinstance(t, TangentField) else mesh
-    if mesh is None:
-        raise ValueError("mesh required for plain vector fields")
-    return float(np.einsum("i,ij,ij->", mesh.vertex_areas, vec, vec))
+def l2_norm_sq(vectors, mesh):
+    """Mass-weighted squared L2 norm of a (V, 3) vector field on `mesh`."""
+    return float(np.einsum("i,ij,ij->", mesh.vertex_areas, vectors, vectors))
 
 
 def mean(u):
@@ -229,7 +199,7 @@ def load_map(path):
         except ValueError:
             raise FileFormatError(f"{path}:{i + 2}: bad float literal")
     norms = row_norms(vals)
-    bad = np.abs(norms - 1.0) > 1e-6
+    bad = ~(np.abs(norms - 1.0) <= 1e-6)  # refuses NaN too
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
         raise FileFormatError(

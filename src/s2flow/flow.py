@@ -61,6 +61,11 @@ class FlowConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ParameterDomainError(f"scheme must be one of {SCHEMES}")
+        # True would pass every check below as 1
+        for name in ("dt", "stop_tension", "t_max", "record_every",
+                     "concentration_radius", "concentration_threshold"):
+            if isinstance(getattr(self, name), bool):
+                raise ParameterDomainError(f"{name} must be a number, not a bool")
         # the comparisons refuse NaN and inf too
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ParameterDomainError("dt must be positive and finite")
@@ -68,8 +73,7 @@ class FlowConfig:
             raise ParameterDomainError("stop_tension must be positive and finite")
         if not 0.0 < self.t_max < math.inf:
             raise ParameterDomainError("t_max must be positive and finite")
-        if (isinstance(self.record_every, bool) or not isinstance(self.record_every, int)
-                or self.record_every < 1):
+        if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ParameterDomainError("record_every must be an integer of at least 1")
         if (self.concentration_radius is not None
                 and not self.concentration_radius > 0.0):

@@ -264,14 +264,14 @@ _BARY_TOL = 1e-12
 
 
 def locate_batch(mesh, points):
-    """Locate many points by lockstep adjacency walks; returns (faces, bary).
+    """Locate (n, 3) points by lockstep adjacency walks; returns (faces, bary).
 
     Walks start on a face of the mesh vertex nearest each point, a few steps
     from its own face.  They step across the edge opposite the most negative
     coordinate and fall back to a brute-force scan for any query that fails
     to settle.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     n = len(pts)
     face = mesh._vertex_face[mesh.vertex_tree.query(pts)[1]]
     prev = np.full(n, -1, dtype=np.int64)

@@ -95,7 +95,7 @@ class MobiusParams:
 
 
 def eval_phi(a, x):
-    """Axial dilation phi_a at unit vectors x (single point or batch).
+    """Axial dilation phi_a at an (n, 3) batch x of unit vectors.
 
     Closed form of the boundary action of the ball map sending 0 to a:
         phi_a(x) = [2(1 + <a,x>) a + (1 - |a|^2) x] / |x + a|^2.
@@ -107,50 +107,44 @@ def eval_phi(a, x):
     if not rho_sq <= (1.0 - 1e-9) ** 2:  # refuses NaN and inf too
         raise ParameterDomainError("dilation parameter must satisfy |a| < 1")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
     if rho_sq == 0.0:
-        out = pts.copy()
-    else:
-        ax = pts @ a
-        out = (2.0 * (1.0 + ax))[:, None] * a + (1.0 - rho_sq) * pts
-        out /= (1.0 + 2.0 * ax + rho_sq)[:, None]
-        out /= row_norms(out)[:, None]
-    return out[0] if single else out
+        return x.copy()
+    ax = x @ a
+    out = (2.0 * (1.0 + ax))[:, None] * a + (1.0 - rho_sq) * x
+    out /= (1.0 + 2.0 * ax + rho_sq)[:, None]
+    out /= row_norms(out)[:, None]
+    return out
 
 
 def eval_phi_jet(a, x):
-    """(phi, dphi_da): phi_a(x) and its derivative in a, [..., i, j] = d phi_i / d a_j.
+    """(phi, dphi_da) at an (n, 3) batch x: phi_a(x) and its (n, 3, 3)
+    derivative in a, [k, i, j] = d phi_i / d a_j at x_k.
 
     Differentiating the closed form of eval_phi with D = |x + a|^2,
         d phi / da = [2(1 + <a,x>) I + 2 a x^T - 2 x a^T - 2 phi (x + a)^T] / D,
-    which is 2(I - x x^T) at a = 0.  phi is eval_phi(a, x); the derivative
-    has shape (3, 3) for one point, else (n, 3, 3).
+    which is 2(I - x x^T) at a = 0.  phi is eval_phi(a, x).
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    phi = eval_phi(a, pts)
-    ax = pts @ a
+    phi = eval_phi(a, x)
+    ax = x @ a
     # built component-major, (3, 3, n), so every broadcast runs along the
     # points; the same arithmetic per element as the (n, 3, 3) form
-    xt = np.ascontiguousarray(pts.T)
+    xt = np.ascontiguousarray(x.T)
     jac = np.eye(3)[:, :, None] * (2.0 * (1.0 + ax))
     jac += 2.0 * (a[:, None, None] * xt[None, :, :] - xt[:, None, :] * a[None, :, None])
     jac -= (2.0 * np.ascontiguousarray(phi.T))[:, None, :] * (xt + a[:, None])[None, :, :]
     jac /= 1.0 + 2.0 * ax + float(a @ a)
-    jac = np.ascontiguousarray(jac.transpose(2, 0, 1))
-    return (phi[0], jac[0]) if single else (phi, jac)
+    return phi, np.ascontiguousarray(jac.transpose(2, 0, 1))
 
 
 def eval_mobius(params, x):
-    """Rotation applied after the axial dilation."""
+    """Rotation applied after the axial dilation, at an (n, 3) batch x."""
     return eval_phi(params.a, x) @ params.rotation.T
 
 
 def conformal_factor(a, x):
-    """Pointwise stretch mu of the dilation phi_a at domain points x.
+    """Pointwise stretch mu of the dilation phi_a at an (n, 3) batch x.
 
     mu = (1 - |a|^2) / |x + a|^2, with eval_phi's denominator
     1 + 2<a,x> + |a|^2 for |x + a|^2.  It runs from 1/lambda at the
@@ -160,8 +154,7 @@ def conformal_factor(a, x):
     """
     a = np.asarray(a, dtype=float)
     rho_sq = float(a @ a)
-    out = (1.0 - rho_sq) / (1.0 + 2.0 * (np.atleast_2d(x) @ a) + rho_sq)
-    return float(out[0]) if np.ndim(x) == 1 else out
+    return (1.0 - rho_sq) / (1.0 + 2.0 * (x @ a) + rho_sq)
 
 
 def dilation_chart(b):

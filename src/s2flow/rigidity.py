@@ -77,12 +77,12 @@ def energy_deficit(mesh):
 def tension_floor(mesh):
     """L2 tension of the sampled identity: the smallest resolvable tension."""
     return mesh.memo("tension_floor",
-                     lambda: math.sqrt(l2_norm_sq(tension(identity_map(mesh)))))
+                     lambda: math.sqrt(l2_norm_sq(tension(identity_map(mesh)), mesh)))
 
 
-def calibrated_excess(u, k=1):
-    """Energy above the calibrated ground level 4*pi*|k| - energy_deficit."""
-    return energy(u) - (FOUR_PI * abs(k) - energy_deficit(u.mesh))
+def calibrated_excess(u):
+    """Energy above the calibrated ground level 4*pi - energy_deficit."""
+    return energy(u) - (FOUR_PI - energy_deficit(u.mesh))
 
 
 def default_flow_config(mesh, **overrides):
@@ -135,7 +135,7 @@ def excess_tension_probe(u):
         raise VacuousRegimeError(
             f"excess {exc:.6g} is beyond the small-excess working regime "
             f"({default_excess_limit():.6g}); the ratio is uninformative there")
-    tau_sq = l2_norm_sq(tension(u))
+    tau_sq = l2_norm_sq(tension(u), u.mesh)
     degenerate = exc <= DEGENERATE_FACTOR * energy_deficit(u.mesh) or tau_sq == 0.0
     ratio = float("nan") if degenerate else exc / tau_sq
     return ExcessTensionProbe(k=k, excess=exc, tension_sq=tau_sq,
@@ -494,8 +494,8 @@ def constant_sweep(family, flow_cfg=None, jobs=1):
     both instead of each importing them again; under a non-fork start method
     every worker imports them itself.  Returns (rows, summary).
     """
-    if jobs < 1:
-        raise ParameterDomainError(f"jobs must be at least 1, got {jobs}")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ParameterDomainError(f"jobs must be an integer of at least 1, got {jobs!r}")
     family = list(family)
     workers = min(jobs, len(family))
     if workers <= 1:

@@ -107,7 +107,7 @@ def test_criterion_03_mobius_energy_and_tension(mesh_l4, mesh_l5, mesh_l6):
         for mesh in (mesh_l4, mesh_l5, mesh_l6):
             u = sample(params, mesh)
             assert abs(energy(u) - FOUR_PI) <= 0.01 * FOUR_PI
-            tensions.append(math.sqrt(l2_norm_sq(tension(u))))
+            tensions.append(math.sqrt(l2_norm_sq(tension(u), mesh)))
         assert tensions[0] > tensions[1] > tensions[2]
         assert tensions[2] < 0.05
 

@@ -75,6 +75,20 @@ def test_map_header_off_the_icosphere_is_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("row", ["nan nan nan", "nan 0 0"])
+def test_map_row_that_is_not_finite_is_exit_one(tmp_path, capsys, row):
+    # a NaN row norm fails no "deviates by more than" comparison; it must
+    # still be a file error, not a traceback from SphereMap
+    mesh = build_icosphere(1)
+    rows = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+    rows[4] = row
+    path = tmp_path / "bad.txt"
+    path.write_text(f"s2map 1 {mesh.n_vertices}\n" + "\n".join(rows) + "\n")
+    rc, out, err = run_cli(capsys, "energy", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {path}:6: row norm ")
+
+
 def test_domain_error_is_exit_one(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "generate", "--kind", "rational_k",
                          "--level", "2", "--out", str(tmp_path / "m.txt"))

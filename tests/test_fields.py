@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 import s2flow.fields as fields_mod
 from s2flow.errors import (DegreeUnresolvedError, FileFormatError,
                            ParameterDomainError)
-from s2flow.fields import (FOUR_PI, SphereMap, TangentField, constant_map,
+from s2flow.fields import (FOUR_PI, SphereMap, constant_map,
                            degree, degree_estimate, dirichlet_diff,
                            edge_energies, energy, identity_map, l2_dist_sq,
                            l2_norm_sq, load_map, local_energy, mean, save_map,
@@ -61,7 +61,8 @@ def test_target_rotation_keeps_energy_tension_and_degree(mesh_l3, quat, kind, k,
     rot = MobiusParams(np.array(quat), np.zeros(3)).rotation
     ru = SphereMap(mesh_l3, u.values @ rot.T)
     assert energy(ru) == pytest.approx(energy(u), rel=1e-12)
-    assert l2_norm_sq(tension(ru)) == pytest.approx(l2_norm_sq(tension(u)), rel=1e-11)
+    assert l2_norm_sq(tension(ru), mesh_l3) == pytest.approx(
+        l2_norm_sq(tension(u), mesh_l3), rel=1e-11)
     assert degree(ru) == degree(u)
 
 
@@ -96,7 +97,7 @@ def test_domain_rotation_keeps_energy_tension_and_degree(mesh_l3, rot_quat, quat
     x = mesh_l3.vertices
     rot = MobiusParams(np.array(rot_quat), np.zeros(3)).rotation
     u, ru = SphereMap(mesh_l3, f(x)), SphereMap(mesh_l3, f(x @ rot.T))
-    tau, rtau = (math.sqrt(l2_norm_sq(tension(w))) for w in (u, ru))
+    tau, rtau = (math.sqrt(l2_norm_sq(tension(w), mesh_l3)) for w in (u, ru))
     assert abs(energy(ru) - energy(u)) <= 0.25 * energy_deficit(mesh_l3)
     assert abs(rtau - tau) <= 3.0 * tension_floor(mesh_l3)
     assert degree(ru) == degree(u) == 1
@@ -157,8 +158,8 @@ def test_tension_is_tangent(mesh_l4):
     params = MobiusParams(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.1]))
     u = sample(params, mesh_l4)
     t = tension(u)
-    dots = np.abs(np.einsum("ij,ij->i", t.vectors, u.values))
-    norms = np.linalg.norm(t.vectors, axis=1)
+    dots = np.abs(np.einsum("ij,ij->i", t, u.values))
+    norms = np.linalg.norm(t, axis=1)
     assert (dots <= 1e-10 * norms + 1e-300).all()
 
 
@@ -168,7 +169,7 @@ def test_identity_tension_floor_shrinks():
     for level, expected in ((4, 0.013268815638), (5, 0.004874485665)):
         from s2flow.mesh import build_icosphere
         mesh = build_icosphere(level)
-        val = math.sqrt(l2_norm_sq(tension(identity_map(mesh))))
+        val = math.sqrt(l2_norm_sq(tension(identity_map(mesh)), mesh))
         assert val == pytest.approx(expected, rel=1e-6)
         floors.append(val)
     assert floors[1] < floors[0]
@@ -228,12 +229,6 @@ def test_local_energy_rejects_negative_and_nan_radius(mesh_l3, radius):
     # where cos(-r) = cos r read -0.3 as the 0.3 ball
     with pytest.raises(ParameterDomainError):
         local_energy(identity_map(mesh_l3), np.array([0.0, 0.0, 1.0]), radius)
-
-
-def test_tangent_field_rejects_non_tangent(mesh_l2):
-    u = identity_map(mesh_l2)
-    with pytest.raises(ValueError):
-        TangentField(u, u.values.copy())
 
 
 def test_map_norm_validation(mesh_l2):

@@ -233,7 +233,7 @@ def test_locate_always_settles(coords):
     if norm < 0.1:
         return
     mesh = build_icosphere(2)
-    (face,), (bary,) = locate_batch(mesh, vec / norm)
+    (face,), (bary,) = locate_batch(mesh, vec[None] / norm)
     assert 0 <= face < mesh.n_faces
     assert bary.min() >= -1e-9 * np.abs(bary).sum()
 

@@ -29,12 +29,12 @@ def test_phi_zero_is_identity():
 
 def test_phi_fixes_axis_and_moves_origin_image():
     a = np.array([0.0, 0.0, 0.6])
-    axis = np.array([0.0, 0.0, 1.0])
+    axis = np.array([[0.0, 0.0, 1.0]])
     assert np.allclose(eval_phi(a, axis), axis, atol=1e-15)
     assert np.allclose(eval_phi(a, -axis), -axis, atol=1e-15)
     # the equator maps to the circle at height 2|a|/(1+|a|^2)
-    eq = np.array([1.0, 0.0, 0.0])
-    assert eval_phi(a, eq)[2] == pytest.approx(2 * 0.6 / (1 + 0.36))
+    eq = np.array([[1.0, 0.0, 0.0]])
+    assert eval_phi(a, eq)[0, 2] == pytest.approx(2 * 0.6 / (1 + 0.36))
 
 
 def test_phi_composition_inverse():
@@ -51,9 +51,9 @@ def test_polar_angle_halving_rule():
     t = 0.4
     lam = dilation_factor(np.array([0, 0, t]))
     theta = 1.1
-    x = np.array([math.sin(theta), 0.0, math.cos(theta)])
+    x = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
     y = eval_phi(np.array([0, 0, t]), x)
-    theta_new = math.acos(y[2])
+    theta_new = math.acos(y[0, 2])
     assert math.tan(theta_new / 2) == pytest.approx(math.tan(theta / 2) / lam,
                                                     rel=1e-12)
 
@@ -84,7 +84,7 @@ def test_non_finite_parameters_are_refused(bad):
     with pytest.raises(ParameterDomainError):
         MobiusParams(np.array([bad, 0, 0, 0]), np.zeros(3))
     with pytest.raises(ParameterDomainError):
-        eval_phi(np.array([0.0, bad, 0.0]), np.array([0.0, 0.0, 1.0]))
+        eval_phi(np.array([0.0, bad, 0.0]), np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_params_line_round_trip():
@@ -122,12 +122,12 @@ def test_conformal_factor_matches_the_lambda_form(a_norm, mesh_l4):
     ax = mesh_l4.vertices @ p.a
     kappa = (1.0 + 2.0 * np.abs(ax) + a_norm**2) / (1.0 + 2.0 * ax + a_norm**2)
     assert np.all(np.abs(mu / expected - 1.0) <= 1e-14 * kappa)
-    assert conformal_factor(p.a, mesh_l4.vertices[7]) == pytest.approx(mu[7], rel=1e-12)
+    assert conformal_factor(p.a, mesh_l4.vertices[7:8])[0] == pytest.approx(mu[7], rel=1e-12)
 
 
 def test_conformal_factor_is_one_without_dilation(mesh_l4):
     assert np.all(conformal_factor(np.zeros(3), mesh_l4.vertices) == 1.0)
-    assert conformal_factor(np.zeros(3), mesh_l4.vertices[3]) == 1.0
+    assert conformal_factor(np.zeros(3), mesh_l4.vertices[3:4])[0] == 1.0
 
 
 @pytest.mark.parametrize("a_norm", [0.2, 0.4, 0.6])
@@ -140,7 +140,7 @@ def test_sample_energy_near_ground(a_norm, mesh_l4, mesh_l5, mesh_l6):
     for mesh in (mesh_l4, mesh_l5, mesh_l6):
         u = sample(p, mesh)
         assert energy(u) == pytest.approx(FOUR_PI, rel=0.01)
-        tensions.append(math.sqrt(l2_norm_sq(tension(u))))
+        tensions.append(math.sqrt(l2_norm_sq(tension(u), mesh)))
     assert tensions[0] > tensions[1] > tensions[2]
     assert tensions[2] < 0.05
 
@@ -180,7 +180,7 @@ def test_phi_jacobian_at_zero_is_tangent_projection():
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     expected = 2.0 * (np.eye(3) - x[:, :, None] * x[:, None, :])
     assert np.abs(eval_phi_jet(np.zeros(3), x)[1] - expected).max() <= 1e-15
-    assert np.abs(eval_phi_jet(np.zeros(3), x[0])[1] - expected[0]).max() <= 1e-15
+    assert np.abs(eval_phi_jet(np.zeros(3), x[:1])[1] - expected[:1]).max() <= 1e-15
 
 
 def test_phi_jacobian_matches_differences():
@@ -201,9 +201,9 @@ def test_phi_jet_values_are_eval_phi():
         phi, dphi = eval_phi_jet(a, x)
         assert np.array_equal(phi, eval_phi(a, x))
         assert dphi.shape == (40, 3, 3)
-        one, done = eval_phi_jet(a, x[5])
-        assert one.shape == (3,) and done.shape == (3, 3)
-        assert np.array_equal(one, eval_phi(a, x[5]))
+        one, done = eval_phi_jet(a, x[5:6])
+        assert one.shape == (1, 3) and done.shape == (1, 3, 3)
+        assert np.array_equal(one, eval_phi(a, x[5:6]))
 
 
 def _eval_phi_jet_oracle(a, pts):
@@ -264,9 +264,9 @@ def test_guard_admits_max_pullback_radius_in_every_direction(mesh_l3, mesh_l4, m
 def test_rotation_applied_after_dilation():
     p = MobiusParams(np.array([0.0, 1.0, 0.0, 0.0]),  # half turn about x
                      np.array([0.0, 0.0, 0.4]))
-    x = np.array([0.0, 0.0, 1.0])
+    x = np.array([[0.0, 0.0, 1.0]])
     y = eval_mobius(p, x)
-    assert np.allclose(y, [0.0, 0.0, -1.0], atol=1e-14)
+    assert np.allclose(y, [[0.0, 0.0, -1.0]], atol=1e-14)
 
 
 @given(st.floats(0.0, 0.85), st.integers(0, 10**6))

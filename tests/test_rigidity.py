@@ -539,6 +539,13 @@ def test_pool_parent_imports_the_fit_optimizer_and_the_kd_tree():
     assert out.split("\n")[:2] == ["[]", "['scipy.optimize', 'scipy.spatial']"]
 
 
+@pytest.mark.parametrize("jobs", [True, 2.5, math.nan, "2"])
+def test_sweep_refuses_jobs_that_are_not_integers(jobs):
+    # refused before any worker starts, as jobs=0 is
+    with pytest.raises(ParameterDomainError):
+        constant_sweep([], jobs=jobs)
+
+
 def test_sweep_worker_count_and_jobs_check(monkeypatch):
     started = []
 

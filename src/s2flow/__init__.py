@@ -24,10 +24,9 @@ from .mobius import (MobiusParams, conformal_factor, dilation_factor,
                      params_from_line, params_to_line, pullback, sample)
 from .rigidity import (RigidityReport, calibrated_excess, constant_sweep,
                        default_excess_limit, default_flow_config,
-                       energy_deficit, excess_tension_probe, fit_mobius,
-                       fit_objective, sup_gradient, tension_floor,
-                       verify_rigidity, w12_identity_check, write_sweep_csv,
-                       write_sweep_summary)
+                       energy_deficit, fit_mobius, fit_objective,
+                       sup_gradient, tension_floor, verify_rigidity,
+                       w12_identity_check, write_sweep_csv, write_sweep_summary)
 from .scenarios import ScenarioSpec, generate, standard_family
 
 __version__ = "0.1.0"

@@ -75,9 +75,10 @@ class FlowConfig:
             raise ParameterDomainError("t_max must be positive and finite")
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ParameterDomainError("record_every must be an integer of at least 1")
+        # a ball of radius pi is the whole sphere, which holds all the energy
         if (self.concentration_radius is not None
-                and not self.concentration_radius > 0.0):
-            raise ParameterDomainError("concentration_radius must be positive")
+                and not 0.0 < self.concentration_radius < math.pi):
+            raise ParameterDomainError("concentration_radius must lie in (0, pi)")
         if not self.concentration_threshold > 0.0:
             raise ParameterDomainError("concentration_threshold must be positive")
 

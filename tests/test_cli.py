@@ -8,7 +8,6 @@ from s2flow.fields import energy, load_map
 from s2flow.flow import TRACE_HEADER
 from s2flow.mesh import build_icosphere
 from s2flow.mobius import MobiusParams, sample
-from s2flow.rigidity import energy_deficit
 from s2flow.scenarios import ScenarioSpec
 
 

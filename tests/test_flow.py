@@ -54,6 +54,11 @@ def test_bad_scheme_rejected():
         {"t_max": -1.0},
         {"record_every": 0},
         {"concentration_radius": -0.2},
+        # a ball of radius pi or more is the whole sphere
+        {"concentration_radius": math.pi},
+        {"concentration_radius": 1e300},
+        {"concentration_radius": math.inf},
+        {"concentration_radius": math.nan},
         {"concentration_threshold": 0.0},
         {"dt": math.inf},
         {"stop_tension": math.inf},
@@ -71,6 +76,11 @@ def test_bad_scheme_rejected():
 def test_nonpositive_config_values_rejected(kwargs):
     with pytest.raises(ParameterDomainError):
         FlowConfig(**kwargs)
+
+
+def test_concentration_radius_just_under_pi_is_accepted():
+    radius = math.nextafter(math.pi, 0.0)
+    assert FlowConfig(concentration_radius=radius).concentration_radius == radius
 
 
 def test_normalize_step_refuses_nan():

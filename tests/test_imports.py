@@ -1,5 +1,5 @@
-"""Every import under src/s2flow/ and scripts/ is used, and every private
-module-level name under src/s2flow/ is read somewhere in the package.
+"""Every import under src/s2flow/, scripts/ and tests/ is used, and every
+private module-level name under src/s2flow/ is read somewhere in the package.
 
 Deleting code leaves imports and helpers behind; this catches them with the
 standard library's ast alone.  For imports, package __init__ files (which
@@ -13,7 +13,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src/s2flow", "scripts") for p in (ROOT / d).glob("*.py")
+FILES = sorted(p for d in ("src/s2flow", "scripts", "tests")
+               for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")
 PACKAGE = sorted((ROOT / "src/s2flow").glob("*.py"))
 

@@ -14,18 +14,16 @@ from s2flow import rigidity
 from s2flow.errors import (FitFailedError, ParameterDomainError,
                            PreconditionError, VacuousRegimeError)
 from s2flow.balance import balance
-from s2flow.fields import (FOUR_PI, SphereMap, constant_map, degree, energy,
-                           identity_map)
+from s2flow.fields import SphereMap, constant_map, degree, energy, identity_map
 from s2flow.flow import run_flow
 from s2flow.mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
                            eval_mobius, pullback, sample)
-from s2flow.rigidity import (DEGENERATE_FACTOR, SWEEP_HEADER, calibrated_excess,
-                             constant_sweep, default_excess_limit,
-                             default_flow_config, energy_deficit,
-                             excess_tension_probe, fit_mobius, fit_objective,
-                             run_case, summarize_sweep, sup_gradient, tension_floor,
-                             verify_rigidity, w12_identity_check,
-                             write_sweep_csv, write_sweep_summary)
+from s2flow.rigidity import (SWEEP_HEADER, calibrated_excess, constant_sweep,
+                             default_excess_limit, default_flow_config,
+                             energy_deficit, fit_mobius, fit_objective, run_case,
+                             sup_gradient, tension_floor, verify_rigidity,
+                             w12_identity_check, write_sweep_csv,
+                             write_sweep_summary)
 from s2flow.scenarios import ScenarioSpec, generate, standard_family
 
 BASE = MobiusParams(np.array([0.9, 0.1, -0.2, 0.3]), np.array([0.1, -0.15, 0.2]))
@@ -112,48 +110,6 @@ def test_sup_gradient_tracks_dilation_stretch(mesh_l4):
     lam = (1.0 + rho) / (1.0 - rho)
     sup = sup_gradient(sample(BASE, mesh_l4))
     assert abs(sup / (math.sqrt(2.0) * lam) - 1.0) < 0.05
-
-
-# --- excess/tension probe ----------------------------------------------------
-
-def test_probe_identity_is_degenerate(mesh_l4):
-    p = excess_tension_probe(identity_map(mesh_l4))
-    assert p.k == 1
-    assert p.excess < 0.0
-    assert p.degenerate
-    assert math.isnan(p.ratio)
-
-
-def test_probe_constant_map_is_degenerate(mesh_l4):
-    # degree 0, energy 0: excess vanishes at mesh precision and the tension
-    # is identically zero, so the ratio must come back flagged
-    p = excess_tension_probe(constant_map(mesh_l4, [0.0, 0.0, 1.0]))
-    assert p.k == 0
-    assert abs(p.excess) < 1e-12
-    assert p.degenerate
-    assert math.isnan(p.ratio)
-
-
-def test_probe_moderate_excess_is_informative(mesh_l5):
-    p = excess_tension_probe(perturbed(mesh_l5, eps=0.2, seed=0))
-    assert not p.degenerate
-    assert p.excess > DEGENERATE_FACTOR * energy_deficit(mesh_l5)
-    assert 0.0 < p.ratio < 1.0  # two orders under the working bound
-
-
-def test_probe_rejects_large_excess(mesh_l3):
-    # hand-built degree-1 map pushed far above the ground energy
-    x = mesh_l3.vertices
-    w = np.zeros_like(x)
-    w[:, 0] = 1.0
-    w -= np.einsum("ij,ij->i", w, x)[:, None] * x
-    vals = x + 1.5 * w
-    vals /= np.linalg.norm(vals, axis=1)[:, None]
-    u = SphereMap(mesh_l3, vals)
-    assert degree(u) == 1
-    assert energy(u) - FOUR_PI > default_excess_limit()
-    with pytest.raises(VacuousRegimeError):
-        excess_tension_probe(u)
 
 
 # --- conformal fit -----------------------------------------------------------
@@ -359,6 +315,21 @@ def test_verify_rejects_vacuous_regime(mesh_l4):
     with pytest.raises(VacuousRegimeError):
         verify_rigidity(perturbed(mesh_l4, eps=0.1, seed=0),
                         excess_limit=1e-4)
+
+
+def test_verify_rejects_large_excess_at_the_default_limit(mesh_l3):
+    # hand-built degree-1 map pushed far above the ground energy
+    x = mesh_l3.vertices
+    w = np.zeros_like(x)
+    w[:, 0] = 1.0
+    w -= np.einsum("ij,ij->i", w, x)[:, None] * x
+    vals = x + 1.5 * w
+    vals /= np.linalg.norm(vals, axis=1)[:, None]
+    u = SphereMap(mesh_l3, vals)
+    assert degree(u) == 1
+    assert calibrated_excess(u) > default_excess_limit()
+    with pytest.raises(VacuousRegimeError):
+        verify_rigidity(u)
 
 
 @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])

@@ -4,8 +4,12 @@ the empirical rigidity constants.
 
 For each level this writes <outdir>/sweep_L<k>.csv (one row per case) and
 <outdir>/summary_L<k>.json, then prints the per-level max distance/excess
-ratio and, when two or more levels were swept, the relative drift of that
-constant between consecutive levels (the self-convergence check).
+ratio against the flow limit (ratio_max) and against the conformal map fitted
+to it (ratio_fit_max).  When two or more levels were swept it prints the
+relative drift of ratio_max between consecutive levels; when three or more
+were, also the successive differences of ratio_fit_max and the observed order
+log2(d1 / d2) of each consecutive pair of them (2 for second-order
+convergence).
 
 Example:
     python3 scripts/run_sweep.py --levels 4,5 --jobs 4 --outdir results
@@ -21,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import pathlib  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -65,6 +70,7 @@ def main(argv=None):
         print(f"level {level}: {summary['n_cases']} cases, "
               f"statuses={json.dumps(summary['statuses'])}, "
               f"ratio_max={summary['ratio_max']:.4f}, "
+              f"ratio_fit_max={summary['ratio_fit_max']:.4f}, "
               f"excess_tension_ratio_max="
               f"{summary['excess_tension_ratio_max']:.4f}, "
               f"wall={wall:.1f}s")
@@ -73,6 +79,15 @@ def main(argv=None):
         c_lo, c_hi = summaries[lo]["ratio_max"], summaries[hi]["ratio_max"]
         drift = abs(c_lo - c_hi) / c_hi
         print(f"ratio_max drift L{lo} -> L{hi}: {100 * drift:.1f}%")
+
+    if len(levels) >= 3:
+        fit = [summaries[level]["ratio_fit_max"] for level in levels]
+        diffs = [hi - lo for lo, hi in zip(fit, fit[1:])]
+        for lo, hi, d in zip(levels, levels[1:], diffs):
+            print(f"ratio_fit_max difference L{lo} -> L{hi}: {d:+.3e}")
+        for lo, hi, d1, d2 in zip(levels, levels[2:], diffs, diffs[1:]):
+            order = math.log2(abs(d1 / d2)) if d2 != 0.0 else float("nan")
+            print(f"ratio_fit_max observed order L{lo} -> L{hi}: {order:.2f}")
     return 0
 
 

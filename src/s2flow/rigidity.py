@@ -53,7 +53,12 @@ from .scenarios import generate
 # near 0/0: their distance/excess ratio is flagged instead of trusted.
 DEGENERATE_FACTOR = 10.0
 # Flows stop at this multiple of the identity-sample tension (see module doc).
-STOP_FLOOR_FACTOR = 2.0
+# The stop moves ratio_max at first order, but a case's fitted-map ratio by
+# under 1e-5 between factors 2 and 4.  A larger factor takes fewer advances
+# (967 / 836 / 747 over the level-5 standard family at 2 / 3 / 4), but at 4
+# one perturbed start's flow ratio moves 17% from level 4 to level 5, past
+# the 15% that test_verify_self_convergence allows.
+STOP_FLOOR_FACTOR = 3.0
 # Deliberately conservative excess/tension^2 bound used for the working
 # small-excess threshold; the standard families measure about 0.126, 8x
 # smaller, near the linearised supremum 1/8 at the identity.
@@ -359,7 +364,8 @@ def verify_rigidity(u, flow_cfg=None, tol=BALANCE_TOL, excess_limit=None):
 # --- family sweeps ---------------------------------------------------------------
 
 SWEEP_HEADER = ("case_id,level,eps,excess,seminorm_dist,l2_dist_sq,ratio,"
-                "excess_tension_ratio,ax,ay,az,mean_v_norm,status")
+                "excess_tension_ratio,ax,ay,az,mean_v_norm,status,"
+                "fit_seminorm_dist")
 
 
 @dataclass(frozen=True)
@@ -379,6 +385,7 @@ class SweepRow:
     status: str
     degenerate: bool
     sup_dv: float
+    fit_seminorm_dist: float
 
 
 def _case_id(spec):
@@ -396,7 +403,7 @@ def run_case(spec, mesh, flow_cfg=None):
                         excess=nan, seminorm_dist=nan, l2_dist_sq=nan,
                         ratio=nan, excess_tension_ratio=nan, ax=nan, ay=nan,
                         az=nan, mean_v_norm=nan, status=type(err).__name__,
-                        degenerate=True, sup_dv=nan)
+                        degenerate=True, sup_dv=nan, fit_seminorm_dist=nan)
     ax, ay, az = (float(c) for c in rep.balance_a)
     return SweepRow(case_id=_case_id(spec), level=spec.level, eps=spec.eps,
                     excess=rep.excess, seminorm_dist=rep.seminorm_dist,
@@ -404,7 +411,7 @@ def run_case(spec, mesh, flow_cfg=None):
                     excess_tension_ratio=rep.excess_tension_ratio,
                     ax=ax, ay=ay, az=az, mean_v_norm=rep.mean_v_norm,
                     status=rep.flow_status, degenerate=rep.degenerate,
-                    sup_dv=rep.sup_dv)
+                    sup_dv=rep.sup_dv, fit_seminorm_dist=rep.fit_seminorm_dist)
 
 
 def summarize_sweep(rows):
@@ -415,7 +422,10 @@ def summarize_sweep(rows):
     family (the calibration gap is larger than the perturbation energies), so
     restricting to unflagged rows would leave the constant undefined exactly
     where it is most interesting.  ratio_max_strict keeps the conservative
-    variant over unflagged rows only.
+    variant over unflagged rows only.  ratio_fit_max is taken over the same
+    rows as ratio_max, with the distance to the conformal map fitted to the
+    flow limit: the distance the rigidity estimate bounds, which does not
+    depend on where the flow stops.
     """
     converged = [r for r in rows if r.status == "Converged"]
     positive = [r for r in converged if r.excess > 0.0]
@@ -437,6 +447,10 @@ def summarize_sweep(rows):
         "n_degenerate": sum(1 for r in rows if r.degenerate),
         "excess_tension_ratio_max": safe_max(
             [r.excess_tension_ratio for r in positive]),
+        # a NaN default: perfbench's self-tests summarise stand-in rows that
+        # carry no fitted-map distance
+        "ratio_fit_max": safe_max(
+            [getattr(r, "fit_seminorm_dist", math.nan) / r.excess for r in positive]),
         "ratio_max": safe_max([r.seminorm_dist / r.excess for r in positive]),
         "ratio_max_strict": safe_max(
             [r.seminorm_dist / r.excess for r in strict]),
@@ -487,7 +501,8 @@ def write_sweep_csv(rows, path):
             numeric = (r.excess, r.seminorm_dist, r.l2_dist_sq, r.ratio,
                        r.excess_tension_ratio, r.ax, r.ay, r.az, r.mean_v_norm)
             fields = ([r.case_id, str(r.level), "%.17g" % r.eps]
-                      + ["%.17g" % x for x in numeric] + [r.status])
+                      + ["%.17g" % x for x in numeric]
+                      + [r.status, "%.17g" % r.fit_seminorm_dist])
             fh.write(",".join(fields) + "\n")
 
 

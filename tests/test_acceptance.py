@@ -209,18 +209,29 @@ def test_criterion_09_excess_tension_stability(sweep_l4, sweep_l5):
     print(f"criterion 9: excess/tension^2 max level4={e4:.4f} level5={e5:.4f}")
 
 
-@pytest.mark.parametrize("level, ratio_max, excess_tension_ratio_max", [
-    (4, 2.836693356977, 0.1260604290797),
-    (5, 2.920879403594, 0.1258401125694),
+@pytest.mark.parametrize("level, ratio_max, ratio_fit_max, excess_tension_ratio_max", [
+    (4, 2.784942088247, 3.008541236604, 0.1260604290797),
+    (5, 2.894174725096, 3.00532562039, 0.1258401125694),
 ])
 def test_sweep_constants_do_not_drift(sweep_l4, sweep_l5, level, ratio_max,
-                                      excess_tension_ratio_max):
-    """The two empirical constants of the standard-family sweeps hold to
-    1e-8 relative: any move beyond rounding needs an explanation."""
+                                      ratio_fit_max, excess_tension_ratio_max):
+    """The empirical constants of the standard-family sweeps hold to 1e-8
+    relative: any move beyond rounding needs an explanation."""
     summary = {4: sweep_l4, 5: sweep_l5}[level][1]
     assert summary["ratio_max"] == pytest.approx(ratio_max, rel=1e-8)
+    assert summary["ratio_fit_max"] == pytest.approx(ratio_fit_max, rel=1e-8)
     assert summary["excess_tension_ratio_max"] == pytest.approx(
         excess_tension_ratio_max, rel=1e-8)
+
+
+def test_fitted_map_constant_converges_at_second_order(sweep_l4, sweep_l5):
+    """ratio_fit_max, the distance to the conformal map fitted to the flow
+    limit over the excess, converges under refinement: its successive
+    differences over levels 3-5 shrink at least 3x (4.0x measured)."""
+    _, summary3 = constant_sweep(standard_family(3))
+    c3, c4, c5 = (s["ratio_fit_max"] for s in (summary3, sweep_l4[1], sweep_l5[1]))
+    assert abs(c3 - c4) >= 3.0 * abs(c4 - c5) > 0.0
+    print(f"ratio_fit_max levels 3-5: {c3:.6f} {c4:.6f} {c5:.6f}")
 
 
 def test_criterion_10_no_bubbling_monitor(sweep_l4, sweep_l5, mesh_l4):

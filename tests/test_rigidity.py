@@ -87,7 +87,7 @@ def test_tension_floor_positive_and_refining(mesh_l4, mesh_l5):
 
 def test_default_flow_config_sits_on_floor(mesh_l4):
     cfg = default_flow_config(mesh_l4)
-    assert cfg.stop_tension == max(1e-4, 2.0 * tension_floor(mesh_l4))
+    assert cfg.stop_tension == max(1e-4, rigidity.STOP_FLOOR_FACTOR * tension_floor(mesh_l4))
     assert default_flow_config(mesh_l4, stop_tension=0.5).stop_tension == 0.5
     assert default_flow_config(mesh_l4, scheme="explicit").scheme == "explicit"
 
@@ -469,6 +469,18 @@ def test_sweep_deterministic_and_parallel_agree(tmp_path):
     lines = blobs[0].decode().strip().split("\n")
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 1 + len(rows_a)
+
+
+def test_sweep_carries_the_fitted_map_distance(tmp_path):
+    # the last CSV column and ratio_fit_max come from verify_rigidity's fit
+    rows, summary = constant_sweep(small_family())
+    assert all(r.status == "Converged" and r.excess > 0.0 for r in rows)
+    csv = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, csv)
+    body = csv.read_text().strip().split("\n")[1:]
+    assert [float(line.split(",")[-1]) for line in body] == [
+        r.fit_seminorm_dist for r in rows]
+    assert summary["ratio_fit_max"] == max(r.fit_seminorm_dist / r.excess for r in rows)
 
 
 def test_sweep_parallel_rows_in_family_order(tmp_path):

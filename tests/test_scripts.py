@@ -1,6 +1,8 @@
 """Smoke tests: each script in scripts/ runs end to end at small sizes."""
 
 import importlib.util
+import json
+import math
 import pathlib
 
 from s2flow.cli import main
@@ -25,13 +27,22 @@ def test_calibration_table(capsys):
 
 def test_run_sweep(tmp_path, capsys):
     rc = load_script("run_sweep").main(
-        ["--levels", "2,3", "--seeds-per-eps", "1", "--jobs", "2",
+        ["--levels", "2,3,4", "--seeds-per-eps", "1", "--jobs", "2",
          "--outdir", str(tmp_path)])
     assert rc == 0
-    for name in ("sweep_L2.csv", "summary_L2.json",
-                 "sweep_L3.csv", "summary_L3.json"):
-        assert (tmp_path / name).is_file()
-    assert "ratio_max drift L2 -> L3" in capsys.readouterr().out
+    for level in (2, 3, 4):
+        for name in (f"sweep_L{level}.csv", f"summary_L{level}.json"):
+            assert (tmp_path / name).is_file()
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert all("ratio_fit_max=" in line for line in lines[:3])
+    assert "ratio_max drift L2 -> L3" in lines[3]
+    fit = [json.loads((tmp_path / f"summary_L{level}.json").read_text())["ratio_fit_max"]
+           for level in (2, 3, 4)]
+    d1, d2 = fit[1] - fit[0], fit[2] - fit[1]
+    assert lines[-3:] == [
+        f"ratio_fit_max difference L2 -> L3: {d1:+.3e}",
+        f"ratio_fit_max difference L3 -> L4: {d2:+.3e}",
+        f"ratio_fit_max observed order L2 -> L4: {math.log2(abs(d1 / d2)):.2f}"]
 
 
 def test_cli_sweep_and_run_sweep_write_the_same_bytes(tmp_path, capsys):

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (BalanceFailedError, ParameterDomainError, PreconditionError,
                      PullbackUnderresolvedError)
 from .fields import SphereMap, degree, mean
-from .mobius import (conformal_factor, dilation_chart, max_pullback_radius, pullback,
-                     solve_over_dilation)
+from .mobius import (conformal_factor_jet, dilation_chart, max_pullback_radius,
+                     pullback, solve_over_dilation)
 
 BALANCE_TOL = 1e-6   # |Phi(a*)| a balanced map reaches unless told otherwise
 MAX_ITER = 60        # evaluations of the predictor, and steps of the corrector
@@ -50,17 +50,16 @@ def center_functional(u, a):
 def _conformal_center(u, a):
     """(Phi~(a), dPhi~/da): the change-of-variables centre and its Jacobian.
 
-    Phi~(a) = sum_i w_i u_i with w_i = A_i mu_i^2 / sum A and
-    mu_i = mu_{-a}(x_i) = (1 - |a|^2) / |x_i - a|^2, whose derivative is
-        d(mu^2)/da = 4 mu^2 (mu (x - a) - a) / (1 - |a|^2).
+    Phi~(a) = sum_i w_i u_i with w_i = A_i mu_i^2 / sum A, mu_i = mu_{-a}(x_i);
+    by the chain rule d(mu_{-a}^2)/da = -2 mu dmu_{-a}, with dmu_{-a} from
+    mobius.conformal_factor_jet at -a.
     """
-    mesh = u.mesh
-    x = mesh.vertices
-    mu = conformal_factor(-a, x)
-    w = mesh.vertex_areas * mu * mu
-    w /= mesh.vertex_areas.sum()
-    dw = w[:, None] * (mu[:, None] * (x - a) - a)
-    return w @ u.values, (u.values.T @ dw) * (4.0 / (1.0 - float(a @ a)))
+    area = u.mesh.vertex_areas
+    mu, dmu = conformal_factor_jet(-a, u.mesh.vertices)
+    w = area * mu * mu
+    w /= area.sum()
+    dw = (area * mu / area.sum())[:, None] * dmu
+    return w @ u.values, -2.0 * (u.values.T @ dw)
 
 
 def _predict(u):

@@ -404,29 +404,19 @@ class CertificateRow:
     t_end: float
     lhs: float           # ||u(T) - u(s)||_L2
     mid: float           # sum of dt ||tau|| over [s, T]
-    excess_shape: float       # sqrt(max(E(s) - 4 pi |k|, 0))
-    path_excess_ratio: float  # mid / excess_shape
-
-
-@dataclass
-class FlowCertificates:
-    rows: list
-    max_path_excess_ratio: float
 
 
 def flow_certificates(trace):
     """Check ||u(T) - u(s)|| <= sum dt ||tau|| for every recorded s < T.
 
-    Raises CertificateError on violation; otherwise reports, per start time,
-    the ratio of the tension path length to the square root of the starting
-    excess (an empirical handle on the constant in front of it).
+    Returns one CertificateRow per recorded start time s before the last;
+    raises CertificateError on a violation.
     """
     if len(trace.samples) < 2:
-        return FlowCertificates(rows=[], max_path_excess_ratio=float("nan"))
+        return []
     end = trace.samples[-1]
     u_end = trace.snapshots[-1]
     rows = []
-    ratios = []
     for smp, snap in zip(trace.samples[:-1], trace.snapshots[:-1]):
         lhs = math.sqrt(l2_dist_sq(u_end, snap))
         mid = end.path_length - smp.path_length
@@ -434,15 +424,8 @@ def flow_certificates(trace):
             raise CertificateError(
                 f"displacement {lhs:.6e} from t={smp.t:.6g} exceeds the "
                 f"tension path length {mid:.6e}")
-        k = abs(smp.degree) if smp.degree is not None else 1
-        shape = math.sqrt(max(smp.energy - FOUR_PI * k, 0.0))
-        ratio = mid / shape if shape > 0 else float("nan")
-        rows.append(CertificateRow(s=smp.t, t_end=end.t, lhs=lhs, mid=mid,
-                                   excess_shape=shape, path_excess_ratio=ratio))
-        if shape > 0:
-            ratios.append(ratio)
-    return FlowCertificates(rows=rows,
-                            max_path_excess_ratio=max(ratios) if ratios else float("nan"))
+        rows.append(CertificateRow(s=smp.t, t_end=end.t, lhs=lhs, mid=mid))
+    return rows
 
 
 # --- trace export -----------------------------------------------------------

@@ -7,8 +7,9 @@ stereographic chart centered on a/|a| acts as z -> z/lambda with
 lambda = (1+|a|)/(1-|a|).  Its conformal (harmonic) extension to the ball
 sends the origin to a, which is what makes `a` the natural centering knob.
 
-Balancing's prediction and the conformal fit both solve over a with
-solve_over_dilation, in one chart of the ball (dilation_chart).
+Balancing's prediction and the conformal fit both weight by the stretch
+(conformal_factor_jet) and solve over a with solve_over_dilation, in one
+chart of the ball (dilation_chart).
 """
 
 import math
@@ -157,6 +158,16 @@ def conformal_factor(a, x):
     return (1.0 - rho_sq) / (1.0 + 2.0 * (x @ a) + rho_sq)
 
 
+def conformal_factor_jet(a, x):
+    """(mu, dmu_da) at an (n, 3) batch x: conformal_factor(a, x) and its
+    (n, 3) derivative in a,
+        dmu / da = -2 mu (a + mu (x + a)) / (1 - |a|^2).
+    """
+    a = np.asarray(a, dtype=float)
+    mu = conformal_factor(a, x)
+    return mu, -2.0 * mu[:, None] * (a + mu[:, None] * (x + a)) / (1.0 - float(a @ a))
+
+
 def dilation_chart(b):
     """(a, da/db) of the chart a = A_NORM_MAX b / sqrt(1 + |b|^2), R^3 onto the ball."""
     s = math.sqrt(1.0 + float(b @ b))
@@ -166,8 +177,9 @@ def dilation_chart(b):
 def solve_over_dilation(point, **options):
     """Levenberg-Marquardt over the dilation chart from b = 0: (result, state).
 
-    point(b) gives (state, residual, jacobian in b), cached on the last b so
-    the residual and Jacobian calls share it; `options` go to least_squares.
+    point(b) gives (state, residual, jacobian in b), cached on the last two b
+    so the Jacobian calls, the closing one after a rejected trial included,
+    reuse the residual call's work; `options` go to least_squares.
     """
     # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
     from scipy.optimize import least_squares
@@ -177,7 +189,8 @@ def solve_over_dilation(point, **options):
     def cached(b):
         key = b.tobytes()
         if key not in last:
-            last.clear()
+            if len(last) == 2:
+                del last[next(iter(last))]  # the older of the two
             last[key] = point(b)
         return last[key]
 

@@ -45,8 +45,9 @@ from .fields import (FOUR_PI, degree, dirichlet_diff, energy, identity_map,
                      l2_dist_sq, l2_norm_sq, mean, tension)
 from .flow import FlowConfig, run_flow
 from .mesh import build_icosphere
-from .mobius import (MobiusParams, conformal_factor, dilation_chart, eval_phi_jet,
-                     params_to_line, quat_from_matrix, sample, solve_over_dilation)
+from .mobius import (MobiusParams, conformal_factor, conformal_factor_jet,
+                     dilation_chart, eval_phi_jet, params_to_line, quat_from_matrix,
+                     sample, solve_over_dilation)
 from .scenarios import generate
 
 # Rows whose excess is at most this multiple of the mesh calibration gap are
@@ -118,12 +119,6 @@ def sup_gradient(u):
 
 # --- conformal fit ------------------------------------------------------------
 
-def _weighted_residual(u, v, mu):
-    """Flattened sqrt(2 A_i) mu_i (u_i - v_i): the fit's residual against values v."""
-    w = np.sqrt(2.0 * u.mesh.vertex_areas) * mu
-    return (w[:, None] * (u.values - v)).ravel()
-
-
 def fit_objective(u, params):
     """Weighted misfit sum_i A_i |u_i - v_i|^2 * 2*mu_i^2 for v = sample(params).
 
@@ -132,8 +127,8 @@ def fit_objective(u, params):
     (the gradient-weighted L2 misfit); 2*mu^2 is the Dirichlet density of v.
     """
     mesh = u.mesh
-    r = _weighted_residual(u, sample(params, mesh).values,
-                           conformal_factor(params.a, mesh.vertices))
+    w = np.sqrt(2.0 * mesh.vertex_areas) * conformal_factor(params.a, mesh.vertices)
+    r = (w[:, None] * (u.values - sample(params, mesh).values)).ravel()
     return float(r @ r)
 
 
@@ -143,12 +138,11 @@ def _fit_point(u, b):
     For a = mobius.dilation_chart(b) the rotation is solved in closed form:
     with W = 2 A mu^2 the misfit sum_i W_i |u_i - R phi_a(x_i)|^2 is least at
     the rotation factor of sum_i W_i u_i phi_a(x_i)^T (one 3x3 SVD, with the
-    determinant fix).  The residual is _weighted_residual against R phi_a.
-    The (3V, 3) jacobian is its closed-form derivative in b: with
-    r_i = w_i mu_i (u_i - R phi_a(x_i)), w_i = sqrt(2 A_i),
-      - in a: phi_a and dphi/da come from one mobius.eval_phi_jet call, and
-        the stretch mu = conformal_factor = (1 - |a|^2) / |x + a|^2 has
-        dmu/da = -2 mu (a + mu (x + a)) / (1 - |a|^2);
+    determinant fix).  The residual is fit_objective's against R phi_a,
+    r_i = w_i mu_i (u_i - R phi_a(x_i)) with w_i = sqrt(2 A_i), and the
+    (3V, 3) jacobian is its closed-form derivative in b:
+      - in a: phi_a, mu and their derivatives from mobius.eval_phi_jet and
+        mobius.conformal_factor_jet;
       - in b: da/db from the chart.
     R is re-solved at every b, so these three columns are projected off the
     rotation columns -w mu (e_k x R phi) (Kaufman's variable projection).
@@ -159,7 +153,7 @@ def _fit_point(u, b):
     pts = mesh.vertices
     a, da_db = dilation_chart(b)
     phi, dphi_da = eval_phi_jet(a, pts)
-    mu = conformal_factor(a, pts)
+    mu, dmu_da = conformal_factor_jet(a, pts)
     w = np.sqrt(2.0 * mesh.vertex_areas)
     wmu = (w * mu)[:, None]
     uu, _, vt = np.linalg.svd((wmu * wmu * u.values).T @ phi)
@@ -169,8 +163,7 @@ def _fit_point(u, b):
 
     # one (3V, 3) product: a batched (3, 3) matmul per vertex is far slower
     dphi_db = (dphi_da.reshape(-1, 3) @ da_db).reshape(-1, 3, 3)
-    dmu_db = (-2.0 * mu[:, None] * (a + mu[:, None] * (pts + a))
-              / (1.0 - float(a @ a))) @ da_db
+    dmu_db = dmu_da @ da_db
     jac_a = np.empty((3, len(pts), 3))
     for j in range(3):  # w (dmu/db_j diff - mu R dphi/db_j)
         np.matmul(dphi_db[:, :, j], -rot.T, out=jac_a[j])
@@ -181,7 +174,7 @@ def _fit_point(u, b):
     jac_rot = np.stack([-wmu * np.cross(e, v) for e in np.eye(3)]).reshape(3, -1).T
     jac = jac_a - jac_rot @ np.linalg.solve(jac_rot.T @ jac_rot, jac_rot.T @ jac_a)
     params = MobiusParams(quat_from_matrix(rot), a)
-    return params, _weighted_residual(u, v, mu), jac
+    return params, (wmu * diff).ravel(), jac
 
 
 def fit_mobius(u):
@@ -370,22 +363,24 @@ SWEEP_HEADER = ("case_id,level,eps,excess,seminorm_dist,l2_dist_sq,ratio,"
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep case; a failed case sets only the first four fields."""
+
     case_id: str
     level: int
     eps: float
-    excess: float
-    seminorm_dist: float
-    l2_dist_sq: float
-    ratio: float
-    excess_tension_ratio: float
-    ax: float
-    ay: float
-    az: float
-    mean_v_norm: float
     status: str
-    degenerate: bool
-    sup_dv: float
-    fit_seminorm_dist: float
+    excess: float = math.nan
+    seminorm_dist: float = math.nan
+    l2_dist_sq: float = math.nan
+    ratio: float = math.nan
+    excess_tension_ratio: float = math.nan
+    ax: float = math.nan
+    ay: float = math.nan
+    az: float = math.nan
+    mean_v_norm: float = math.nan
+    degenerate: bool = True
+    sup_dv: float = math.nan
+    fit_seminorm_dist: float = math.nan
 
 
 def _case_id(spec):
@@ -394,16 +389,12 @@ def _case_id(spec):
 
 def run_case(spec, mesh, flow_cfg=None):
     """One sweep case on `mesh`; domain errors become a status row, not a raise."""
-    nan = float("nan")
     try:
         u = generate(spec, mesh)
         rep = verify_rigidity(u, flow_cfg=flow_cfg)
     except S2FlowError as err:
         return SweepRow(case_id=_case_id(spec), level=spec.level, eps=spec.eps,
-                        excess=nan, seminorm_dist=nan, l2_dist_sq=nan,
-                        ratio=nan, excess_tension_ratio=nan, ax=nan, ay=nan,
-                        az=nan, mean_v_norm=nan, status=type(err).__name__,
-                        degenerate=True, sup_dv=nan, fit_seminorm_dist=nan)
+                        status=type(err).__name__)
     ax, ay, az = (float(c) for c in rep.balance_a)
     return SweepRow(case_id=_case_id(spec), level=spec.level, eps=spec.eps,
                     excess=rep.excess, seminorm_dist=rep.seminorm_dist,

@@ -138,9 +138,9 @@ def test_criterion_05_displacement_certificates(crit4_run, balanced_flows):
     checked = 0
     for trace in traces:
         certs = flow_certificates(trace)  # raises on any violation
-        for row in certs.rows:
+        for row in certs:
             assert row.lhs <= row.mid * (1.0 + 1e-6) + 1e-13
-        checked += len(certs.rows)
+        checked += len(certs)
     assert checked > 0
     print(f"criterion 5: {checked} certificate rows over {len(traces)} flows")
 

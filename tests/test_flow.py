@@ -132,8 +132,8 @@ def test_run_flow_converges_and_certificates_hold(mesh_l4, scheme):
     assert trace.dt == (cfg.dt or default_dt(mesh_l4, scheme))
     assert trace.degree_monitored
     certs = flow_certificates(trace)
-    assert len(certs.rows) == len(trace.samples) - 1
-    assert all(r.lhs <= r.mid * (1 + 1e-6) + 1e-13 for r in certs.rows)
+    assert len(certs) == len(trace.samples) - 1
+    assert all(r.lhs <= r.mid * (1 + 1e-6) + 1e-13 for r in certs)
     assert math.sqrt(l2_dist_sq(v, trace.snapshots[-1])) == 0.0
 
 

@@ -218,6 +218,29 @@ def test_fit_of_a_flow_limit_takes_few_residual_evaluations(mesh_l4, monkeypatch
     assert 0 < len(calls) <= 5
 
 
+def test_no_fit_evaluates_a_point_twice(monkeypatch):
+    # the solver ends with a Jacobian call at the accepted point, also after
+    # a rejected last trial: the two-point cache must serve it
+    fit_point, fit = rigidity._fit_point, rigidity.fit_mobius
+    repeats, fits = [], []
+
+    def counted_fit(u):
+        fits.append(set())
+        return fit(u)
+
+    def counted_point(u, b):
+        if b.tobytes() in fits[-1]:
+            repeats.append(b.copy())
+        fits[-1].add(b.tobytes())
+        return fit_point(u, b)
+
+    monkeypatch.setattr(rigidity, "fit_mobius", counted_fit)
+    monkeypatch.setattr(rigidity, "_fit_point", counted_point)
+    rows, _ = constant_sweep(standard_family(4))
+    assert len(fits) == len(rows) == 20
+    assert repeats == []
+
+
 def _stress_grid(level):
     """perturbed_mobius starts at eps 0.2 and 0.5, seeds 0-14, with rotations
     and dilations up to |a| = 0.85 drawn from one seeded generator."""

@@ -16,10 +16,13 @@ time horizon, or a concentration event.  Between records the degree is
 checked only after a step that releases more than COLLAPSE_DROP, as a
 collapse does, so a lost degree stops the run at the step that lost it.
 
-The local energy in every geodesic ball is one sparse matvec with a V x E
-operator, built once per (mesh, radius) from k-d tree ball pairs and one
-sparse product, taken over blocks of balls so that the build needs little
-more memory than the operator.
+The local energy in every geodesic ball is the ball's sum of vertex stars
+(each vertex's edge energies) less its rim edges, halved: two sparse
+matvecs, with a V x V ball membership and a V x E rim operator built once
+per (mesh, radius) from k-d tree ball pairs and one sparse product, taken
+over blocks of balls so that the build needs little more memory than the
+two operators.  A radius of pi or more makes every ball the whole sphere,
+whose energy needs no operator.
 """
 
 import math
@@ -32,7 +35,7 @@ from scipy.sparse.linalg import splu
 from .errors import (CertificateError, DegreeUnresolvedError,
                      EnergyMonotonicityError, ParameterDomainError, SolverError,
                      StepDegenerateError)
-from .fields import (FOUR_PI, SphereMap, degree, edge_energies,
+from .fields import (FOUR_PI, SphereMap, degree, edge_energies, energy,
                      energy_and_tension, l2_dist_sq, l2_norm_sq, mean)
 from .mesh import row_norms
 
@@ -243,18 +246,20 @@ def _ball_pairs(mesh, cos_r):
 
 
 def _concentration_operator(mesh, radius):
-    """(V x E) 0/1 matrix summing per-edge energies into every radius-ball:
-    row k holds the edges whose two ends satisfy <x_i, x_k> >= cos r - 1e-12.
+    """(ball, rim) for the radius-balls around every vertex.
 
-    Built from ball pairs and one sparse product: C = Y B counts the ends of
-    edge e in ball k (Y the ball membership, B the edge incidence), and the
-    operator keeps C == 2.  The product, the selection and the sort run over
-    blocks of BALL_BLOCK rows, each keeping only its column indices and row
-    counts, so the build peaks at about the operator's own size.
+    `ball` (V x V) holds the vertices x_i of ball k, <x_i, x_k> >= cos r -
+    1e-12, the centre included; `rim` (V x E) holds the edges with exactly one
+    end in it.  Summing the vertex stars over a ball counts each edge inside
+    it twice and each rim edge once, so the ball's energy is
+    0.5 * (ball @ star - rim @ e).
+
+    Both come from ball pairs and one sparse product: C = Y B counts the ends
+    of edge e in ball k (Y the membership, which becomes `ball`, B the edge
+    incidence), and `rim` keeps C == 1.  The product, the selection and the
+    sort run over blocks of BALL_BLOCK rows, each keeping only its column
+    indices and row counts, so the build peaks near the two operators' size.
     """
-    if not radius >= 0.0:
-        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
-
     def build():
         n, n_edges = mesh.n_vertices, mesh.n_edges
         i, k = _ball_pairs(mesh, math.cos(min(radius, math.pi)) - 1e-12).T
@@ -264,6 +269,7 @@ def _concentration_operator(mesh, radius):
              (np.concatenate([i, k, diag]), np.concatenate([k, i, diag]))),
             shape=(n, n))
         del i, k   # the pairs are in y now; free them before the product
+        y.sort_indices()
         b = sparse.csc_matrix(
             (np.ones(2 * n_edges, dtype=np.int8), mesh.edges.ravel(),
              np.arange(0, 2 * n_edges + 1, 2)),
@@ -271,25 +277,38 @@ def _concentration_operator(mesh, radius):
         counts, indices = [], []
         for r in range(0, n, BALL_BLOCK):
             c = y[r:r + BALL_BLOCK] @ b   # CSR, int8: no count exceeds 2
-            c.data = c.data == 2
+            c.data = c.data == 1
             c.eliminate_zeros()
             c.sort_indices()
             counts.append(np.diff(c.indptr))
             indices.append(c.indices)
-        del y, c   # free both before the float64 data is allocated
+        del b, c   # free both before the float64 data is allocated
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         indices = np.concatenate(indices)
         # one-byte work until here: only the kept entries become float64;
         # csr_matrix narrows the int64 indptr to int32 while the counts fit
-        return sparse.csr_matrix(
+        rim = sparse.csr_matrix(
             (np.ones(len(indices)), indices, indptr), shape=(n, n_edges))
+        ball = sparse.csr_matrix(
+            (np.ones(y.nnz), y.indices, y.indptr), shape=(n, n))
+        return ball, rim
 
     return mesh.memo(("conc", round(float(radius), 12)), build)
 
 
 def local_energy_profile(u, radius):
     """Local energy in the geodesic `radius` ball around every vertex."""
-    return _concentration_operator(u.mesh, radius) @ edge_energies(u)
+    if not radius >= 0.0:
+        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
+    if radius >= math.pi:   # every ball is the whole sphere
+        return np.full(u.mesh.n_vertices, energy(u))
+    ball, rim = _concentration_operator(u.mesh, radius)
+    e = edge_energies(u)
+    # each vertex's edges in ascending edge order, as rim's sorted rows add
+    # them, so a ball of one vertex sums to exactly 0
+    star = np.bincount(u.mesh.edges.ravel(), weights=np.repeat(e, 2),
+                       minlength=u.mesh.n_vertices)
+    return 0.5 * (ball @ star - rim @ e)
 
 
 def detect_concentration(u, cfg=None):

@@ -14,8 +14,9 @@ import s2flow.flow as flow_mod
 from s2flow.balance import balance
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
                            ParameterDomainError, StepDegenerateError)
-from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
-                           l2_dist_sq, l2_norm_sq, local_energy, tension)
+from s2flow.fields import (FOUR_PI, SphereMap, edge_energies, energy,
+                           identity_map, l2_dist_sq, l2_norm_sq, local_energy,
+                           tension)
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
                          default_dt, detect_concentration, flow_certificates,
                          local_energy_profile, run_flow, step, write_trace_csv)
@@ -175,7 +176,18 @@ def test_concentrated_start_is_detected_as_singular(mesh_l4):
     assert every.status == "SingularityDetected" and every.steps == 1
 
 
-def test_local_energy_matches_profile(mesh_l3):
+def test_local_energy_matches_profile(mesh_l3, mesh_l4):
+    for mesh in (mesh_l3, mesh_l4):
+        u = perturbed(mesh, eps=0.2, seed=4)
+        i, j = mesh.edges.T
+        for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
+            prof = local_energy_profile(u, radius)
+            # the V x E sum: the edges with both ends in the ball, added in
+            # ascending edge order
+            inside = _dense_balls(mesh, radius)
+            both = sparse.csr_matrix(inside[:, i] & inside[:, j])
+            ref = both @ edge_energies(u)
+            np.testing.assert_allclose(prof, ref, rtol=1e-12, atol=0.0)
     u = perturbed(mesh_l3, eps=0.2, seed=4)
     verts = mesh_l3.vertices
     for radius in (0.3, 0.7, 1.3):
@@ -202,41 +214,54 @@ def test_detect_concentration_threshold(mesh_l4):
     assert abs(np.linalg.norm(where) - 1.0) < 1e-12
 
 
-def _dense_concentration_operator(mesh, radius):
-    """Brute force: row k holds the edges with both ends in ball k."""
+def _dense_balls(mesh, radius):
+    """Brute force: inside[k, i] says that vertex i lies in ball k."""
     x = mesh.vertices
-    inside = x @ x.T >= math.cos(min(radius, math.pi)) - 1e-12
-    ref = inside[:, mesh.edges[:, 0]] & inside[:, mesh.edges[:, 1]]
-    indptr = np.concatenate([[0], np.cumsum(ref.sum(axis=1))])
-    return ref.shape, indptr, np.nonzero(ref)[1]
+    return x @ x.T >= math.cos(min(radius, math.pi)) - 1e-12
+
+
+def _check_csr(op, dense):
+    assert op.format == "csr" and op.has_sorted_indices
+    assert op.indptr.dtype == op.indices.dtype == np.int32
+    assert op.data.dtype == np.float64 and np.all(op.data == 1.0)
+    assert op.shape == dense.shape
+    assert np.array_equal(op.indptr,
+                          np.concatenate([[0], np.cumsum(dense.sum(axis=1))]))
+    assert np.array_equal(op.indices, np.nonzero(dense)[1])
+
+
+def _check_operators(mesh, radius):
+    """`ball` is the membership and `rim` the edges with one end inside."""
+    inside = _dense_balls(mesh, radius)
+    i, j = mesh.edges.T
+    ball, rim = flow_mod._concentration_operator(mesh, radius)
+    _check_csr(ball, inside)
+    _check_csr(rim, inside[:, i] ^ inside[:, j])
+    return inside
 
 
 def _check_matches_brute_force(mesh):
     for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
-        op = flow_mod._concentration_operator(mesh, radius)
-        shape, indptr, indices = _dense_concentration_operator(mesh, radius)
-        assert op.format == "csr" and op.has_sorted_indices
-        assert op.shape == shape
-        assert np.array_equal(op.indptr, indptr)
-        assert np.array_equal(op.indices, indices)
-        assert op.data.dtype == np.float64 and np.all(op.data == 1.0)
+        _check_operators(mesh, radius)
 
 
 def _check_edge_radii(mesh):
     min_arc = 2.0 * math.asin(mesh.min_edge_length / 2.0)
-    # a ball around one vertex reaching none of its neighbours holds no edge
-    assert flow_mod._concentration_operator(mesh, 0.5 * min_arc).nnz == 0
+    i, j = mesh.edges.T
+    # a ball around one vertex reaching none of its neighbours holds only
+    # its centre, and its rim is the centre's star
+    inside = _check_operators(mesh, 0.5 * min_arc)
+    assert np.array_equal(inside, np.eye(mesh.n_vertices, dtype=bool))
     # the shortest edges lie on the boundary of their end points' balls
-    op = flow_mod._concentration_operator(mesh, min_arc)
-    _, indptr, indices = _dense_concentration_operator(mesh, min_arc)
-    assert op.nnz > 0
-    assert np.array_equal(op.indptr, indptr)
-    assert np.array_equal(op.indices, indices)
-    n, n_edges = mesh.n_vertices, mesh.n_edges
+    inside = _check_operators(mesh, min_arc)
+    assert (inside[:, i] & inside[:, j]).any()
+    # a ball of radius pi or more is the whole sphere: no operator is built
+    u = identity_map(mesh)
+    keys = set(mesh._cache)
     for radius in (math.pi, 4.0):
-        op = flow_mod._concentration_operator(mesh, radius)
-        assert op.nnz == n * n_edges
-        assert np.array_equal(op.indices, np.tile(np.arange(n_edges), n))
+        prof = local_energy_profile(u, radius)
+        assert prof.shape == (mesh.n_vertices,) and np.all(prof == energy(u))
+    assert set(mesh._cache) == keys
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -262,11 +287,13 @@ def test_concentration_operator_blocks_join_exactly(monkeypatch, level):
 
 def test_concentration_operator_digest_at_level_5(mesh_l5):
     # 10,242 balls: three blocks of rows and two of pairs at the default sizes
-    op = flow_mod._concentration_operator(mesh_l5, 5.0 * mesh_l5.mean_edge_length)
-    assert op.indptr.dtype == op.indices.dtype == np.int32
-    digest = hashlib.sha256(op.indptr.tobytes() + op.indices.tobytes())
+    ops = flow_mod._concentration_operator(mesh_l5, 5.0 * mesh_l5.mean_edge_length)
+    digest = hashlib.sha256()
+    for op in ops:
+        assert op.indptr.dtype == op.indices.dtype == np.int32
+        digest.update(op.indptr.tobytes() + op.indices.tobytes())
     assert digest.hexdigest() == (
-        "544cbc4cb2d4399e650afc2c2d4870f7c6cdf6ebc0604b9937fda02bc74fe9b5")
+        "0f15361ca24920c69de5fddb894d9c645dbe66bfd555164f2df6f1a4568cd661")
 
 
 def test_concentration_operator_build_peaks_near_its_size():
@@ -274,11 +301,12 @@ def test_concentration_operator_build_peaks_near_its_size():
     mesh.vertex_tree   # the tree belongs to the mesh, not to the build
     tracemalloc.start()
     try:
-        op = flow_mod._concentration_operator(mesh, 5.0 * mesh.mean_edge_length)
+        ops = flow_mod._concentration_operator(mesh, 5.0 * mesh.mean_edge_length)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    size = sum(op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+               for op in ops)
     assert peak <= 1.25 * size
 
 
@@ -293,6 +321,18 @@ def test_local_energy_profile_rejects_negative_and_nan_radius(mesh_l3, radius):
 def test_local_energy_profile_at_radius_zero_is_zero(mesh_l3):
     prof = local_energy_profile(identity_map(mesh_l3), 0.0)
     assert prof.shape == (mesh_l3.n_vertices,) and not prof.any()
+
+
+def test_local_energy_profile_of_the_whole_sphere_is_the_energy():
+    # a ball of radius pi or more is the whole sphere, as in
+    # fields.local_energy; no V(V-1)/2 pair query and no operator is built
+    mesh = build_icosphere(3)
+    u = perturbed(mesh, eps=0.2, seed=4)
+    for radius in (math.pi, 4.0, math.inf):
+        prof = local_energy_profile(u, radius)
+        assert prof.shape == (mesh.n_vertices,) and np.all(prof == energy(u))
+    assert not any(isinstance(key, tuple) and key[0] == "conc"
+                   for key in mesh._cache)
 
 
 def test_concentration_monitor_and_location_share_one_tree(monkeypatch):

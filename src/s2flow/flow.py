@@ -23,6 +23,15 @@ per (mesh, radius) from k-d tree ball pairs and one sparse product, taken
 over blocks of balls so that the build needs little more memory than the
 two operators.  A radius of pi or more makes every ball the whole sphere,
 whose energy needs no operator.
+
+A record needs only the largest ball, and finds it exactly: half the star
+sums of the cells (groups of neighbouring vertices) that the balls of a cell
+touch bound each ball from above, one exact ball bounds the largest from
+below, and only the balls whose bound reaches it are summed, by row slices
+that add each row as the full products do.  A concentrated map leaves a few
+dozen such balls; a smooth one leaves them all, and takes the full
+products.  `where` is the centre of the first largest ball, as np.argmax
+finds it in the whole profile.
 """
 
 import math
@@ -33,8 +42,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import (CertificateError, DegreeUnresolvedError,
-                     EnergyMonotonicityError, ParameterDomainError, SolverError,
-                     StepDegenerateError)
+                     EnergyMonotonicityError, ParameterDomainError,
+                     ResourceLimitError, SolverError, StepDegenerateError)
 from .fields import (FOUR_PI, SphereMap, degree, edge_energies, energy,
                      energy_and_tension, l2_dist_sq, l2_norm_sq, mean)
 from .mesh import row_norms
@@ -49,6 +58,9 @@ COLLAPSE_DROP = math.pi      # a quarter bubble: one step's release that checks 
 ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
 BALL_BLOCK = 4096            # concentration operator: balls per product block
 PAIR_BLOCK = 1 << 18         # concentration operator: pairs per filter block
+MAX_BALL_ENTRIES = 6.0e7     # about the default 5h ball membership at MAX_LEVEL
+BOUND_RTOL = 1e-9            # cell bound: margin under the lower bound, of its star sum
+CANDIDATE_SHARE = 0.2        # more candidate balls than this share: full products
 
 
 @dataclass
@@ -259,10 +271,20 @@ def _concentration_operator(mesh, radius):
     incidence), and `rim` keeps C == 1.  The product, the selection and the
     sort run over blocks of BALL_BLOCK rows, each keeping only its column
     indices and row counts, so the build peaks near the two operators' size.
+
+    A radius whose membership would hold more than MAX_BALL_ENTRIES entries,
+    about V^2 (1 - cos r) / 2, is refused before any pair is queried.
     """
     def build():
         n, n_edges = mesh.n_vertices, mesh.n_edges
-        i, k = _ball_pairs(mesh, math.cos(min(radius, math.pi)) - 1e-12).T
+        cos_r = math.cos(min(radius, math.pi))
+        entries = n * n * (1.0 - cos_r) / 2.0
+        if entries > MAX_BALL_ENTRIES:
+            raise ResourceLimitError(
+                f"a radius-{radius:g} ball membership at level {mesh.level} "
+                f"would hold about {entries:.2e} entries, more than "
+                f"{MAX_BALL_ENTRIES:.2e}")
+        i, k = _ball_pairs(mesh, cos_r - 1e-12).T
         diag = np.arange(n, dtype=np.int32)
         y = sparse.csr_matrix(
             (np.ones(2 * len(i) + n, dtype=np.int8),
@@ -296,29 +318,118 @@ def _concentration_operator(mesh, radius):
     return mesh.memo(("conc", round(float(radius), 12)), build)
 
 
-def local_energy_profile(u, radius):
-    """Local energy in the geodesic `radius` ball around every vertex."""
-    if not radius >= 0.0:
-        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
-    if radius >= math.pi:   # every ball is the whole sphere
-        return np.full(u.mesh.n_vertices, energy(u))
-    ball, rim = _concentration_operator(u.mesh, radius)
+def _cell_bound_operator(mesh, radius):
+    """(cell, reach) of the cell bound on the radius-balls, one per (mesh,
+    radius).
+
+    Each vertex's cell is the smallest index in its closed 1-ring, the first
+    column of its row of the stiffness matrix (2,562 cells at level 5).
+    `reach` (cells x cells, 0/1) marks the cells that some ball centred in a
+    cell touches: the pattern of Inc^T ball Inc, with Inc the vertex-to-cell
+    incidence, from boolean products.
+    """
+    def build():
+        n = mesh.n_vertices
+        stiffness = mesh.stiffness   # rows sorted, diagonal included
+        labels, cell = np.unique(stiffness.indices[stiffness.indptr[:-1]],
+                                 return_inverse=True)
+        inc = sparse.csr_matrix(
+            (np.ones(n, dtype=bool), cell, np.arange(n + 1)),
+            shape=(n, len(labels)))
+        ball = _concentration_operator(mesh, radius)[0]
+        pattern = sparse.csr_matrix(
+            (np.ones(ball.nnz, dtype=bool), ball.indices, ball.indptr),
+            shape=ball.shape)
+        reach = (inc.T @ (pattern @ inc)).tocsr()
+        reach.sort_indices()
+        return cell, sparse.csr_matrix(
+            (np.ones(reach.nnz), reach.indices, reach.indptr), shape=reach.shape)
+
+    return mesh.memo(("conc_cells", round(float(radius), 12)), build)
+
+
+def _edge_and_star_energies(u):
+    """(e, star): the edge energies and each vertex's sum of them."""
     e = edge_energies(u)
     # each vertex's edges in ascending edge order, as rim's sorted rows add
     # them, so a ball of one vertex sums to exactly 0
     star = np.bincount(u.mesh.edges.ravel(), weights=np.repeat(e, 2),
                        minlength=u.mesh.n_vertices)
+    return e, star
+
+
+def _checked_radius(radius):
+    """`radius`, refused when negative or NaN."""
+    if not radius >= 0.0:
+        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
+    return radius
+
+
+def local_energy_profile(u, radius):
+    """Local energy in the geodesic `radius` ball around every vertex."""
+    if _checked_radius(radius) >= math.pi:   # every ball is the whole sphere
+        return np.full(u.mesh.n_vertices, energy(u))
+    ball, rim = _concentration_operator(u.mesh, radius)
+    e, star = _edge_and_star_energies(u)
     return 0.5 * (ball @ star - rim @ e)
 
 
+def _ball_bounds(u, radius, star):
+    """An upper bound on every ball's energy: half the stars of the cells
+    that balls centred in its centre's cell touch (the rim term is
+    non-negative)."""
+    cell, reach = _cell_bound_operator(u.mesh, radius)
+    s = np.bincount(cell, weights=star, minlength=reach.shape[0])
+    return 0.5 * (reach @ s)[cell]
+
+
+def _candidate_balls(u, radius, e, star):
+    """The vertices whose ball may hold the largest energy, ascending.
+
+    The exact ball around the vertex of largest star is a lower bound on the
+    largest.  A ball whose bound stays below it by more than BOUND_RTOL of
+    that ball's star sum, far above the rounding of any of these sums,
+    cannot hold the largest.  Negative edge energies (negative cotangent
+    weights) or NaN void the bound, and then every ball is a candidate.
+    """
+    if not e.min() >= 0.0:
+        return np.arange(u.mesh.n_vertices)
+    ball, rim = _concentration_operator(u.mesh, radius)
+    k = int(np.argmax(star))
+    inside = star[ball.indices[ball.indptr[k]:ball.indptr[k + 1]]].sum()
+    lower = 0.5 * (inside - e[rim.indices[rim.indptr[k]:rim.indptr[k + 1]]].sum())
+    bound = _ball_bounds(u, radius, star)
+    return np.flatnonzero(bound >= lower - BOUND_RTOL * inside)
+
+
+def _largest_ball(u, radius):
+    """(energy, centre) of the first largest radius-ball, as
+    np.argmax(local_energy_profile(u, radius)) finds it, bit for bit."""
+    if _checked_radius(radius) >= math.pi:   # every ball is the whole sphere
+        return float(energy(u)), 0
+    ball, rim = _concentration_operator(u.mesh, radius)
+    e, star = _edge_and_star_energies(u)
+    rows = _candidate_balls(u, radius, e, star)
+    if len(rows) > CANDIDATE_SHARE * u.mesh.n_vertices:
+        rows = np.arange(u.mesh.n_vertices)   # the full products
+    else:   # a row slice adds each row in the order of the full product
+        ball, rim = ball[rows], rim[rows]
+    prof = 0.5 * (ball @ star - rim @ e)
+    j = int(np.argmax(prof))
+    return float(prof[j]), int(rows[j])
+
+
 def detect_concentration(u, cfg=None):
-    """Probe local energy at every vertex; returns (flag, max_local, where)."""
+    """The largest local energy; returns (flag, max_local, where).
+
+    max_local is exactly the largest value of local_energy_profile, found
+    by summing only the balls that the cell bound cannot rule out, and
+    `where` is the centre of the first ball holding it.
+    """
     cfg = cfg or FlowConfig()
     radius = (cfg.concentration_radius if cfg.concentration_radius is not None
               else 5.0 * u.mesh.mean_edge_length)
-    prof = local_energy_profile(u, radius)
-    idx = int(np.argmax(prof))
-    max_local = float(prof[idx])
+    max_local, idx = _largest_ball(u, radius)
     return (max_local >= cfg.concentration_threshold, max_local,
             u.mesh.vertices[idx].copy())
 

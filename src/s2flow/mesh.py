@@ -181,8 +181,9 @@ class TriMesh:
     def memo(self, key, build):
         """The value stored under `key`, built once by calling `build()`.
 
-        Holds what other modules derive per mesh (calibrations, LU factors,
-        concentration operators) for the lifetime of the mesh.
+        Holds what other modules derive per mesh (calibrations, the
+        fill-reducing order and LU factors, concentration operators and
+        their cell bounds) for the lifetime of the mesh.
         """
         if key not in self._cache:
             self._cache[key] = build()

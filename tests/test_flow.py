@@ -7,13 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve, splu
 
 import s2flow.flow as flow_mod
 from s2flow.balance import balance
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
-                           ParameterDomainError, StepDegenerateError)
+                           ParameterDomainError, ResourceLimitError,
+                           StepDegenerateError)
 from s2flow.fields import (FOUR_PI, SphereMap, edge_energies, energy,
                            identity_map, l2_dist_sq, l2_norm_sq, local_energy,
                            tension)
@@ -240,14 +242,41 @@ def _check_operators(mesh, radius):
     return inside
 
 
+def _check_largest_ball(u, radius):
+    """The monitor returns the profile's first largest ball, bit for bit, and
+    the cell bound is at least every ball's energy."""
+    prof = local_energy_profile(u, radius)
+    idx = int(np.argmax(prof))
+    assert flow_mod._largest_ball(u, radius) == (prof[idx], idx)
+    if radius < math.pi:
+        flag, max_local, where = detect_concentration(
+            u, FlowConfig(concentration_radius=radius))
+        assert max_local == prof[idx] and flag == (prof[idx] >= FOUR_PI - 1.0)
+        assert np.array_equal(where, u.mesh.vertices[idx])
+        _, star = flow_mod._edge_and_star_energies(u)
+        assert np.all(flow_mod._ball_bounds(u, radius, star) >= prof)
+
+
+def _monitored_maps(mesh):
+    """A concentrated start, on which the bound keeps few balls, and the
+    identity, on which it keeps all."""
+    spec = ScenarioSpec(kind="concentrated_unbalanced", level=mesh.level,
+                        seed=1, eps=0.05, a_norm=0.95)
+    return generate(spec, mesh), identity_map(mesh)
+
+
 def _check_matches_brute_force(mesh):
+    maps = _monitored_maps(mesh)
     for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
         _check_operators(mesh, radius)
+        for u in maps:
+            _check_largest_ball(u, radius)
 
 
 def _check_edge_radii(mesh):
     min_arc = 2.0 * math.asin(mesh.min_edge_length / 2.0)
     i, j = mesh.edges.T
+    maps = _monitored_maps(mesh)
     # a ball around one vertex reaching none of its neighbours holds only
     # its centre, and its rim is the centre's star
     inside = _check_operators(mesh, 0.5 * min_arc)
@@ -255,12 +284,16 @@ def _check_edge_radii(mesh):
     # the shortest edges lie on the boundary of their end points' balls
     inside = _check_operators(mesh, min_arc)
     assert (inside[:, i] & inside[:, j]).any()
+    for radius in (0.5 * min_arc, min_arc):
+        for u in maps:
+            _check_largest_ball(u, radius)
     # a ball of radius pi or more is the whole sphere: no operator is built
-    u = identity_map(mesh)
     keys = set(mesh._cache)
     for radius in (math.pi, 4.0):
-        prof = local_energy_profile(u, radius)
-        assert prof.shape == (mesh.n_vertices,) and np.all(prof == energy(u))
+        for u in maps:
+            prof = local_energy_profile(u, radius)
+            assert prof.shape == (mesh.n_vertices,) and np.all(prof == energy(u))
+            _check_largest_ball(u, radius)
     assert set(mesh._cache) == keys
 
 
@@ -308,6 +341,67 @@ def test_concentration_operator_build_peaks_near_its_size():
     size = sum(op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
                for op in ops)
     assert peak <= 1.25 * size
+
+
+def test_concentration_operator_refuses_a_membership_over_budget(monkeypatch):
+    # the estimate V^2 (1 - cos r) / 2 of the 0.7 ball's entries sits within
+    # a few percent of the count; the refusal comes before any pair query
+    mesh = build_icosphere(3)
+    entries = _dense_balls(mesh, 0.7).sum()
+
+    def no_pairs(*args):
+        raise AssertionError("pairs queried")
+
+    monkeypatch.setattr(flow_mod, "_ball_pairs", no_pairs)
+    monkeypatch.setattr(flow_mod, "MAX_BALL_ENTRIES", 0.95 * entries)
+    with pytest.raises(ResourceLimitError):
+        flow_mod._concentration_operator(mesh, 0.7)
+    with pytest.raises(ResourceLimitError):
+        detect_concentration(identity_map(mesh),
+                             FlowConfig(concentration_radius=0.7))
+    assert not any(isinstance(key, tuple) and key[0].startswith("conc")
+                   for key in mesh._cache)
+    monkeypatch.undo()
+    monkeypatch.setattr(flow_mod, "MAX_BALL_ENTRIES", 1.05 * entries)
+    assert flow_mod._concentration_operator(mesh, 0.7)[0].nnz == entries
+
+
+@given(concentrated=st.booleans(), level=st.sampled_from([3, 4]),
+       seed=st.integers(0, 10_000), a_norm=st.floats(0.9, 0.99),
+       eps=st.sampled_from([0.0, 0.05, 0.2]), stepped=st.booleans())
+def test_largest_ball_is_the_profile_maximum(mesh_l3, mesh_l4, concentrated,
+                                              level, seed, a_norm, eps,
+                                              stepped):
+    # concentrated starts take the candidate path, smooth ones the full
+    # products; either way the record is the profile's, bit for bit
+    mesh = {3: mesh_l3, 4: mesh_l4}[level]
+    if concentrated:
+        spec = ScenarioSpec(kind="concentrated_unbalanced", level=level,
+                            seed=seed, eps=eps, a_norm=a_norm)
+    else:
+        spec = ScenarioSpec(kind="perturbed_mobius", level=level, seed=seed,
+                            eps=eps)
+    u = generate(spec, mesh)
+    if stepped:
+        u = step(u, default_flow_config(mesh))
+    _check_largest_ball(u, 5.0 * mesh.mean_edge_length)
+
+
+def test_cell_bound_keeps_few_balls_of_a_collapse(mesh_l4):
+    radius = 5.0 * mesh_l4.mean_edge_length
+    start, identity = _monitored_maps(mesh_l4)
+    collapsed, trace = run_flow(start, default_flow_config(mesh_l4))
+    assert trace.status == "SingularityDetected" and trace.steps == 1
+
+    def candidates(u):
+        e, star = flow_mod._edge_and_star_energies(u)
+        return flow_mod._candidate_balls(u, radius, e, star)
+
+    # the bubble and the collapsed map: a few balls around the concentration
+    for u in (start, collapsed):
+        assert len(candidates(u)) < 0.05 * mesh_l4.n_vertices
+    # a smooth map: every ball stays a candidate, and the full products run
+    assert np.array_equal(candidates(identity), np.arange(mesh_l4.n_vertices))
 
 
 @pytest.mark.parametrize("radius", [-0.3, -1e-300, math.nan])

@@ -21,8 +21,10 @@ The local energy in every geodesic ball is the ball's sum of vertex stars
 matvecs, with a V x V ball membership and a V x E rim operator built once
 per (mesh, radius) from k-d tree ball pairs and one sparse product, taken
 over blocks of balls so that the build needs little more memory than the
-two operators.  A radius of pi or more makes every ball the whole sphere,
-whose energy needs no operator.
+two operators.  Their data, and that of the cell bound's reach operator
+below, is one shared read-only buffer of ones, since every entry is 1.  A
+radius of pi or more makes every ball the whole sphere, whose energy needs
+no operator.
 
 A record needs only the largest ball, and finds it exactly: half the star
 sums of the cells (groups of neighbouring vertices) that the balls of a cell
@@ -257,6 +259,18 @@ def _ball_pairs(mesh, cos_r):
     return np.concatenate(kept)
 
 
+def _ones_operator(ones, indices, indptr, shape):
+    """The 0/1 CSR operator of (indices, indptr), whose data is the leading
+    slice of the read-only buffer `ones`.
+
+    The slice is set after construction: csr_matrix copies a view that
+    spans less than half of its buffer.
+    """
+    op = sparse.csr_matrix((ones[:len(indices)], indices, indptr), shape=shape)
+    op.data = ones[:op.nnz]
+    return op
+
+
 def _concentration_operator(mesh, radius):
     """(ball, rim) for the radius-balls around every vertex.
 
@@ -271,6 +285,8 @@ def _concentration_operator(mesh, radius):
     incidence), and `rim` keeps C == 1.  The product, the selection and the
     sort run over blocks of BALL_BLOCK rows, each keeping only its column
     indices and row counts, so the build peaks near the two operators' size.
+    Their float64 data is one read-only buffer of max(ball nnz, rim nnz)
+    ones, of which each takes a leading slice.
 
     A radius whose membership would hold more than MAX_BALL_ENTRIES entries,
     about V^2 (1 - cos r) / 2, is refused before any pair is queried.
@@ -307,12 +323,13 @@ def _concentration_operator(mesh, radius):
         del b, c   # free both before the float64 data is allocated
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         indices = np.concatenate(indices)
-        # one-byte work until here: only the kept entries become float64;
-        # csr_matrix narrows the int64 indptr to int32 while the counts fit
-        rim = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(n, n_edges))
-        ball = sparse.csr_matrix(
-            (np.ones(y.nnz), y.indices, y.indptr), shape=(n, n))
+        # one-byte work until here: the only float64 data is one read-only
+        # buffer of ones that both operators slice; csr_matrix narrows the
+        # int64 indptr to int32 while the counts fit
+        ones = np.ones(max(y.nnz, len(indices)))
+        ones.flags.writeable = False
+        rim = _ones_operator(ones, indices, indptr, (n, n_edges))
+        ball = _ones_operator(ones, y.indices, y.indptr, (n, n))
         return ball, rim
 
     return mesh.memo(("conc", round(float(radius), 12)), build)
@@ -326,7 +343,9 @@ def _cell_bound_operator(mesh, radius):
     column of its row of the stiffness matrix (2,562 cells at level 5).
     `reach` (cells x cells, 0/1) marks the cells that some ball centred in a
     cell touches: the pattern of Inc^T ball Inc, with Inc the vertex-to-cell
-    incidence, from boolean products.
+    incidence, from boolean products.  Its data is a leading slice of the
+    ball's read-only buffer of ones: each of its entries has at least one
+    entry of `ball` behind it, so it has no more entries than `ball`.
     """
     def build():
         n = mesh.n_vertices
@@ -342,8 +361,8 @@ def _cell_bound_operator(mesh, radius):
             shape=ball.shape)
         reach = (inc.T @ (pattern @ inc)).tocsr()
         reach.sort_indices()
-        return cell, sparse.csr_matrix(
-            (np.ones(reach.nnz), reach.indices, reach.indptr), shape=reach.shape)
+        return cell, _ones_operator(ball.data, reach.indices, reach.indptr,
+                                    reach.shape)
 
     return mesh.memo(("conc_cells", round(float(radius), 12)), build)
 

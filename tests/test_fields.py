@@ -66,6 +66,36 @@ def test_target_rotation_keeps_energy_tension_and_degree(mesh_l3, quat, kind, k,
     assert degree(ru) == degree(u)
 
 
+@given(st.integers(0, 59), st.sampled_from(["perturbed_mobius", "rational_k"]),
+       st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+       st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.floats(0.0, 0.6),
+       st.floats(0.0, 0.3), st.integers(0, 10**6))
+def test_icosahedral_precomposition_keeps_energy_tension_and_degree(
+        mesh_l3, icosahedral_rotations, element, kind, k, quat, direction, rho,
+        eps, seed):
+    # a rotation of the icosahedron permutes the vertices, so u o R^-1 is u
+    # renumbered: only the vertex order, and with it every summation order,
+    # differs.  Measured over 200 draws: |dE| / E <= 2.5e-15 and
+    # |d|tau|^2| / |tau|^2 <= 1.1e-13.
+    assume(np.linalg.norm(quat) > 0.1)
+    if kind == "rational_k":
+        spec = ScenarioSpec(kind=kind, level=3, k=k)
+    else:
+        direction = np.array(direction)
+        norm = np.linalg.norm(direction)
+        a = rho * direction / norm if norm > 0.1 else np.zeros(3)
+        spec = ScenarioSpec(kind=kind, level=3, seed=seed, eps=eps,
+                            mobius=MobiusParams(np.array(quat), a))
+    u = generate(spec, mesh_l3)
+    _, src = icosahedral_rotations(mesh_l3)[element]
+    ru = SphereMap(mesh_l3, u.values[src])
+    assert energy(ru) == pytest.approx(energy(u), rel=1e-12)
+    assert l2_norm_sq(tension(ru), mesh_l3) == pytest.approx(
+        l2_norm_sq(tension(u), mesh_l3), rel=1e-11)
+    assert degree(ru) == degree(u)
+
+
 _UNIT = st.floats(-1, 1)
 
 

@@ -232,19 +232,37 @@ def _check_csr(op, dense):
     assert np.array_equal(op.indices, np.nonzero(dense)[1])
 
 
+def _check_shared_ones(ball, rim, *more):
+    """The operators' data are slices of one read-only buffer of ones, as
+    long as the larger of `ball` and `rim`."""
+    buffer = ball.data.base
+    assert buffer is not None and not buffer.flags.writeable
+    assert buffer.size == max(ball.nnz, rim.nnz)
+    for op in (ball, rim, *more):
+        # an empty slice (no rim at level 0 and radius 1.3) holds no memory
+        assert op.data.base is buffer
+        assert np.shares_memory(op.data, buffer) == (op.nnz > 0)
+        assert not op.data.flags.writeable
+        with pytest.raises(ValueError):
+            op.data[:1] = 1.0
+
+
 def _check_operators(mesh, radius):
-    """`ball` is the membership and `rim` the edges with one end inside."""
+    """`ball` is the membership and `rim` the edges with one end inside;
+    both read one buffer of ones."""
     inside = _dense_balls(mesh, radius)
     i, j = mesh.edges.T
     ball, rim = flow_mod._concentration_operator(mesh, radius)
     _check_csr(ball, inside)
     _check_csr(rim, inside[:, i] ^ inside[:, j])
+    _check_shared_ones(ball, rim)
     return inside
 
 
 def _check_largest_ball(u, radius):
-    """The monitor returns the profile's first largest ball, bit for bit, and
-    the cell bound is at least every ball's energy."""
+    """The monitor returns the profile's first largest ball, bit for bit, the
+    cell bound is at least every ball's energy, and its reach operator reads
+    the ball's buffer of ones."""
     prof = local_energy_profile(u, radius)
     idx = int(np.argmax(prof))
     assert flow_mod._largest_ball(u, radius) == (prof[idx], idx)
@@ -255,6 +273,8 @@ def _check_largest_ball(u, radius):
         assert np.array_equal(where, u.mesh.vertices[idx])
         _, star = flow_mod._edge_and_star_energies(u)
         assert np.all(flow_mod._ball_bounds(u, radius, star) >= prof)
+        _check_shared_ones(*flow_mod._concentration_operator(u.mesh, radius),
+                           flow_mod._cell_bound_operator(u.mesh, radius)[1])
 
 
 def _monitored_maps(mesh):
@@ -338,8 +358,9 @@ def test_concentration_operator_build_peaks_near_its_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-               for op in ops)
+    # the operators share one buffer of ones: count it once
+    size = ops[0].data.base.nbytes + sum(op.indices.nbytes + op.indptr.nbytes
+                                         for op in ops)
     assert peak <= 1.25 * size
 
 

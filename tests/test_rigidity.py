@@ -432,6 +432,34 @@ def test_verify_invariant_under_precomposition(mesh_l4):
     assert abs(q2 - q1) <= 0.15 * q1
 
 
+def test_verify_equivariant_under_icosahedral_rotation(mesh_l4,
+                                                       icosahedral_rotations):
+    # u o R^-1 for a rotation R of the icosahedron is u renumbered, so the
+    # whole pipeline must agree but for the rounding of its summation orders
+    # (measured: 2.6e-13 relative at most), with a* moved to R a*.  The two
+    # residuals are what the balance and fit solves leave at their
+    # tolerances; they differ by 1e-9 to 1e-7 relative between vertex
+    # orders.  The start is a non-degenerate standard case, so the ratio is
+    # compared; R is the last element the closure reached, a long product of
+    # both turns.
+    u = generate(standard_family(4)[18], mesh_l4)
+    r, src = icosahedral_rotations(mesh_l4)[-1]
+    a, b = verify_rigidity(u), verify_rigidity(SphereMap(mesh_l4, u.values[src]))
+    assert not a.degenerate and a.flow_status == "Converged"
+    assert b.balance_a == pytest.approx(r @ a.balance_a, rel=1e-10)
+    assert b.sup_dv == pytest.approx(a.sup_dv, rel=1e-10)
+    assert len(b.trace.samples) == len(a.trace.samples)
+    da, db = a.to_dict(), b.to_dict()
+    for name in ("balance_a", "fitted_params", "balance_residual",
+                 "decomposition_residual", "stage_s"):
+        del da[name], db[name]
+    for name, value in da.items():
+        if isinstance(value, float):
+            assert db[name] == pytest.approx(value, rel=1e-10), name
+        else:   # steps, statuses, balance_iterations and the flags
+            assert db[name] == value, name
+
+
 def test_verify_self_convergence(mesh_l4, mesh_l5):
     ratios = {}
     for mesh in (mesh_l4, mesh_l5):

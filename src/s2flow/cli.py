@@ -87,7 +87,7 @@ def _apply_config(args, parser):
         table = json.load(fh)
     if not isinstance(table, dict):
         parser.error(f"--config {args.config} must hold a JSON object")
-    known = sorted(set(vars(args)) - {"command", "func"})
+    known = sorted(set(vars(args)) - {"command", "func", "config"})
     actions = {action.dest: action for action in parser._actions}
     for key, value in table.items():
         attr = key.replace("-", "_")

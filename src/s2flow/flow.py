@@ -16,15 +16,15 @@ time horizon, or a concentration event.  Between records the degree is
 checked only after a step that releases more than COLLAPSE_DROP, as a
 collapse does, so a lost degree stops the run at the step that lost it.
 
-The local energy in every geodesic ball is the ball's sum of vertex stars
-(each vertex's edge energies) less its rim edges, halved: two sparse
-matvecs, with a V x V ball membership and a V x E rim operator built once
-per (mesh, radius) from k-d tree ball pairs and one sparse product, taken
-over blocks of balls so that the build needs little more memory than the
-two operators.  Their data, and that of the cell bound's reach operator
-below, is one shared read-only buffer of ones, since every entry is 1.  A
-radius of pi or more makes every ball the whole sphere, whose energy needs
-no operator.
+The local energy in every geodesic ball of radius 5h (h the mean edge
+length) is the ball's sum of vertex stars (each vertex's edge energies)
+less its rim edges, halved: two sparse matvecs, with a V x V ball
+membership and a V x E rim operator built once per mesh from k-d tree ball
+pairs and one sparse product, taken over blocks of balls so that the build
+needs little more memory than the two operators.  Their data, and that of
+the cell bound's reach operator below, is one shared read-only buffer of
+ones, since every entry is 1.  At level 0, 5h exceeds pi, and every ball is
+the whole sphere.
 
 A record needs only the largest ball, and finds it exactly: half the star
 sums of the cells (groups of neighbouring vertices) that the balls of a cell
@@ -32,8 +32,7 @@ touch bound each ball from above, one exact ball bounds the largest from
 below, and only the balls whose bound reaches it are summed, by row slices
 that add each row as the full products do.  A concentrated map leaves a few
 dozen such balls; a smooth one leaves them all, and takes the full
-products.  `where` is the centre of the first largest ball, as np.argmax
-finds it in the whole profile.
+products.
 """
 
 import math
@@ -45,8 +44,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import (CertificateError, DegreeUnresolvedError,
                      EnergyMonotonicityError, ParameterDomainError,
-                     ResourceLimitError, SolverError, StepDegenerateError)
-from .fields import (FOUR_PI, SphereMap, degree, edge_energies, energy,
+                     SolverError, StepDegenerateError)
+from .fields import (FOUR_PI, SphereMap, degree, edge_energies,
                      energy_and_tension, l2_dist_sq, l2_norm_sq, mean)
 from .mesh import row_norms
 
@@ -55,12 +54,12 @@ SCHEMES = ("explicit", "semi-implicit")
 ENERGY_SLACK = 1e-9          # relative per-step energy increase tolerance
 SOLVE_RTOL = 1e-10           # semi-implicit residual guard
 CERTIFICATE_RTOL = 1e-6      # relative slack of the displacement certificates
+CONCENTRATION_RADIUS = 5.0   # monitor ball radius, in mean edge lengths
 CONCENTRATION_THRESHOLD = FOUR_PI - 1.0
 COLLAPSE_DROP = math.pi      # a quarter bubble: one step's release that checks the degree
 ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
 BALL_BLOCK = 4096            # concentration operator: balls per product block
 PAIR_BLOCK = 1 << 18         # concentration operator: pairs per filter block
-MAX_BALL_ENTRIES = 6.0e7     # about the default 5h ball membership at MAX_LEVEL
 BOUND_RTOL = 1e-9            # cell bound: margin under the lower bound, of its star sum
 CANDIDATE_SHARE = 0.2        # more candidate balls than this share: full products
 
@@ -72,15 +71,12 @@ class FlowConfig:
     stop_tension: float = 1e-4           # threshold on ||tau||_L2
     t_max: float = 50.0
     record_every: int = 10
-    concentration_radius: float | None = None   # None: 5 h
-    concentration_threshold: float = CONCENTRATION_THRESHOLD
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ParameterDomainError(f"scheme must be one of {SCHEMES}")
         # True would pass every check below as 1
-        for name in ("dt", "stop_tension", "t_max", "record_every",
-                     "concentration_radius", "concentration_threshold"):
+        for name in ("dt", "stop_tension", "t_max", "record_every"):
             if isinstance(getattr(self, name), bool):
                 raise ParameterDomainError(f"{name} must be a number, not a bool")
         # the comparisons refuse NaN and inf too
@@ -92,12 +88,6 @@ class FlowConfig:
             raise ParameterDomainError("t_max must be positive and finite")
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ParameterDomainError("record_every must be an integer of at least 1")
-        # a ball of radius pi is the whole sphere, which holds all the energy
-        if (self.concentration_radius is not None
-                and not 0.0 < self.concentration_radius < math.pi):
-            raise ParameterDomainError("concentration_radius must lie in (0, pi)")
-        if not self.concentration_threshold > 0.0:
-            raise ParameterDomainError("concentration_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -271,8 +261,9 @@ def _ones_operator(ones, indices, indptr, shape):
     return op
 
 
-def _concentration_operator(mesh, radius):
-    """(ball, rim) for the radius-balls around every vertex.
+def _concentration_operator(mesh):
+    """(ball, rim) for the balls of radius r = min(5h, pi) around every
+    vertex, one per mesh.
 
     `ball` (V x V) holds the vertices x_i of ball k, <x_i, x_k> >= cos r -
     1e-12, the centre included; `rim` (V x E) holds the edges with exactly one
@@ -287,20 +278,11 @@ def _concentration_operator(mesh, radius):
     indices and row counts, so the build peaks near the two operators' size.
     Their float64 data is one read-only buffer of max(ball nnz, rim nnz)
     ones, of which each takes a leading slice.
-
-    A radius whose membership would hold more than MAX_BALL_ENTRIES entries,
-    about V^2 (1 - cos r) / 2, is refused before any pair is queried.
     """
     def build():
         n, n_edges = mesh.n_vertices, mesh.n_edges
-        cos_r = math.cos(min(radius, math.pi))
-        entries = n * n * (1.0 - cos_r) / 2.0
-        if entries > MAX_BALL_ENTRIES:
-            raise ResourceLimitError(
-                f"a radius-{radius:g} ball membership at level {mesh.level} "
-                f"would hold about {entries:.2e} entries, more than "
-                f"{MAX_BALL_ENTRIES:.2e}")
-        i, k = _ball_pairs(mesh, cos_r - 1e-12).T
+        radius = CONCENTRATION_RADIUS * mesh.mean_edge_length
+        i, k = _ball_pairs(mesh, math.cos(min(radius, math.pi)) - 1e-12).T
         diag = np.arange(n, dtype=np.int32)
         y = sparse.csr_matrix(
             (np.ones(2 * len(i) + n, dtype=np.int8),
@@ -332,12 +314,11 @@ def _concentration_operator(mesh, radius):
         ball = _ones_operator(ones, y.indices, y.indptr, (n, n))
         return ball, rim
 
-    return mesh.memo(("conc", round(float(radius), 12)), build)
+    return mesh.memo("conc", build)
 
 
-def _cell_bound_operator(mesh, radius):
-    """(cell, reach) of the cell bound on the radius-balls, one per (mesh,
-    radius).
+def _cell_bound_operator(mesh):
+    """(cell, reach) of the cell bound on the monitor's balls, one per mesh.
 
     Each vertex's cell is the smallest index in its closed 1-ring, the first
     column of its row of the stiffness matrix (2,562 cells at level 5).
@@ -355,7 +336,7 @@ def _cell_bound_operator(mesh, radius):
         inc = sparse.csr_matrix(
             (np.ones(n, dtype=bool), cell, np.arange(n + 1)),
             shape=(n, len(labels)))
-        ball = _concentration_operator(mesh, radius)[0]
+        ball = _concentration_operator(mesh)[0]
         pattern = sparse.csr_matrix(
             (np.ones(ball.nnz, dtype=bool), ball.indices, ball.indptr),
             shape=ball.shape)
@@ -364,7 +345,7 @@ def _cell_bound_operator(mesh, radius):
         return cell, _ones_operator(ball.data, reach.indices, reach.indptr,
                                     reach.shape)
 
-    return mesh.memo(("conc_cells", round(float(radius), 12)), build)
+    return mesh.memo("conc_cells", build)
 
 
 def _edge_and_star_energies(u):
@@ -377,32 +358,23 @@ def _edge_and_star_energies(u):
     return e, star
 
 
-def _checked_radius(radius):
-    """`radius`, refused when negative or NaN."""
-    if not radius >= 0.0:
-        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
-    return radius
-
-
-def local_energy_profile(u, radius):
-    """Local energy in the geodesic `radius` ball around every vertex."""
-    if _checked_radius(radius) >= math.pi:   # every ball is the whole sphere
-        return np.full(u.mesh.n_vertices, energy(u))
-    ball, rim = _concentration_operator(u.mesh, radius)
+def local_energy_profile(u):
+    """Local energy in the monitor's ball around every vertex."""
+    ball, rim = _concentration_operator(u.mesh)
     e, star = _edge_and_star_energies(u)
     return 0.5 * (ball @ star - rim @ e)
 
 
-def _ball_bounds(u, radius, star):
+def _ball_bounds(u, star):
     """An upper bound on every ball's energy: half the stars of the cells
     that balls centred in its centre's cell touch (the rim term is
     non-negative)."""
-    cell, reach = _cell_bound_operator(u.mesh, radius)
+    cell, reach = _cell_bound_operator(u.mesh)
     s = np.bincount(cell, weights=star, minlength=reach.shape[0])
     return 0.5 * (reach @ s)[cell]
 
 
-def _candidate_balls(u, radius, e, star):
+def _candidate_balls(u, e, star):
     """The vertices whose ball may hold the largest energy, ascending.
 
     The exact ball around the vertex of largest star is a lower bound on the
@@ -413,44 +385,35 @@ def _candidate_balls(u, radius, e, star):
     """
     if not e.min() >= 0.0:
         return np.arange(u.mesh.n_vertices)
-    ball, rim = _concentration_operator(u.mesh, radius)
+    ball, rim = _concentration_operator(u.mesh)
     k = int(np.argmax(star))
     inside = star[ball.indices[ball.indptr[k]:ball.indptr[k + 1]]].sum()
     lower = 0.5 * (inside - e[rim.indices[rim.indptr[k]:rim.indptr[k + 1]]].sum())
-    bound = _ball_bounds(u, radius, star)
+    bound = _ball_bounds(u, star)
     return np.flatnonzero(bound >= lower - BOUND_RTOL * inside)
 
 
-def _largest_ball(u, radius):
-    """(energy, centre) of the first largest radius-ball, as
-    np.argmax(local_energy_profile(u, radius)) finds it, bit for bit."""
-    if _checked_radius(radius) >= math.pi:   # every ball is the whole sphere
-        return float(energy(u)), 0
-    ball, rim = _concentration_operator(u.mesh, radius)
+def _largest_ball(u):
+    """The largest ball energy: the maximum of local_energy_profile(u), bit
+    for bit."""
+    ball, rim = _concentration_operator(u.mesh)
     e, star = _edge_and_star_energies(u)
-    rows = _candidate_balls(u, radius, e, star)
-    if len(rows) > CANDIDATE_SHARE * u.mesh.n_vertices:
-        rows = np.arange(u.mesh.n_vertices)   # the full products
-    else:   # a row slice adds each row in the order of the full product
+    rows = _candidate_balls(u, e, star)
+    if len(rows) <= CANDIDATE_SHARE * u.mesh.n_vertices:
+        # a row slice adds each row in the order of the full product
         ball, rim = ball[rows], rim[rows]
-    prof = 0.5 * (ball @ star - rim @ e)
-    j = int(np.argmax(prof))
-    return float(prof[j]), int(rows[j])
+    return float((0.5 * (ball @ star - rim @ e)).max())
 
 
-def detect_concentration(u, cfg=None):
-    """The largest local energy; returns (flag, max_local, where).
+def detect_concentration(u, cfg=None):   # cfg is unread; perfbench passes one
+    """The largest local energy; returns (flag, max_local).
 
     max_local is exactly the largest value of local_energy_profile, found
-    by summing only the balls that the cell bound cannot rule out, and
-    `where` is the centre of the first ball holding it.
+    by summing only the balls that the cell bound cannot rule out, and the
+    flag says that it reaches CONCENTRATION_THRESHOLD.
     """
-    cfg = cfg or FlowConfig()
-    radius = (cfg.concentration_radius if cfg.concentration_radius is not None
-              else 5.0 * u.mesh.mean_edge_length)
-    max_local, idx = _largest_ball(u, radius)
-    return (max_local >= cfg.concentration_threshold, max_local,
-            u.mesh.vertices[idx].copy())
+    max_local = _largest_ball(u)
+    return max_local >= CONCENTRATION_THRESHOLD, max_local
 
 
 # --- the run loop -----------------------------------------------------------
@@ -489,7 +452,7 @@ def run_flow(u0, cfg=None, *, degree=None):
 
     def record(deg):
         nonlocal last_recorded, degree_ref
-        flag, max_local, _ = detect_concentration(u, cfg)
+        flag, max_local = detect_concentration(u)
         trace.samples.append(FlowSample(
             t=t, energy=state.energy, tension_sq=state.tau_sq,
             mean=mean(u), degree=deg, max_local=max_local,

@@ -65,8 +65,10 @@ class ScenarioSpec:
         if unread:
             raise ParameterDomainError(f"{self.kind} does not read {', '.join(unread)}")
         if self.kind == "rational_k":
-            if self.k is None or not -4 <= self.k <= 4 or self.k == 0:
-                raise ParameterDomainError("rational_k needs k in [-4, 4], k != 0")
+            if (not isinstance(self.k, int) or isinstance(self.k, bool)
+                    or not -4 <= self.k <= 4 or self.k == 0):
+                raise ParameterDomainError(
+                    f"rational_k needs an int k in [-4, 4], k != 0, got {self.k!r}")
         if self.kind == "concentrated_unbalanced":
             if self.a_norm is None or not 0.9 <= self.a_norm <= 0.99:
                 raise ParameterDomainError(
@@ -91,7 +93,7 @@ class ScenarioSpec:
         if mob is not None:
             params = MobiusParams(np.asarray(mob["quat"], dtype=float),
                                   np.asarray(mob["a"], dtype=float))
-        return cls(kind=d["kind"], level=int(d["level"]), seed=int(d.get("seed", 0)),
+        return cls(kind=d["kind"], level=d["level"], seed=d.get("seed", 0),
                    mobius=params, k=d.get("k"), eps=float(d.get("eps", 0.0)),
                    a_norm=d.get("a_norm"))
 

@@ -295,6 +295,12 @@ def test_config_usage_errors(tmp_path, capsys):
         main(["mesh-info", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "JSON object" in capsys.readouterr().err
+    # a config file names no other config file
+    cfg.write_text(json.dumps({"config": "other.json", "level": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-info", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unknown --config key 'config'" in capsys.readouterr().err
 
 
 def test_config_values_go_through_the_option_type(tmp_path, capsys):

@@ -14,8 +14,7 @@ from scipy.sparse.linalg import spsolve, splu
 import s2flow.flow as flow_mod
 from s2flow.balance import balance
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
-                           ParameterDomainError, ResourceLimitError,
-                           StepDegenerateError)
+                           ParameterDomainError, StepDegenerateError)
 from s2flow.fields import (FOUR_PI, SphereMap, edge_energies, energy,
                            identity_map, l2_dist_sq, l2_norm_sq, local_energy,
                            tension)
@@ -56,13 +55,12 @@ def test_bad_scheme_rejected():
         {"stop_tension": 0.0},
         {"t_max": -1.0},
         {"record_every": 0},
-        {"concentration_radius": -0.2},
-        # a ball of radius pi or more is the whole sphere
-        {"concentration_radius": math.pi},
-        {"concentration_radius": 1e300},
-        {"concentration_radius": math.inf},
-        {"concentration_radius": math.nan},
-        {"concentration_threshold": 0.0},
+        {"dt": -math.inf},
+        {"stop_tension": -1e-300},
+        {"t_max": 0.0},
+        {"record_every": -1},
+        {"record_every": 10.0},
+        {"record_every": "10"},
         {"dt": math.inf},
         {"stop_tension": math.inf},
         {"t_max": math.inf},
@@ -72,18 +70,15 @@ def test_bad_scheme_rejected():
         {"dt": True},
         {"stop_tension": True},
         {"t_max": True},
-        {"concentration_radius": True},
-        {"concentration_threshold": True},
+        # NaN fails every comparison, so each check is written to fail on it
+        {"dt": math.nan},
+        {"stop_tension": math.nan},
+        {"t_max": math.nan},
     ],
 )
 def test_nonpositive_config_values_rejected(kwargs):
     with pytest.raises(ParameterDomainError):
         FlowConfig(**kwargs)
-
-
-def test_concentration_radius_just_under_pi_is_accepted():
-    radius = math.nextafter(math.pi, 0.0)
-    assert FlowConfig(concentration_radius=radius).concentration_radius == radius
 
 
 def test_normalize_step_refuses_nan():
@@ -178,47 +173,63 @@ def test_concentrated_start_is_detected_as_singular(mesh_l4):
     assert every.status == "SingularityDetected" and every.steps == 1
 
 
-def test_local_energy_matches_profile(mesh_l3, mesh_l4):
-    for mesh in (mesh_l3, mesh_l4):
+def test_local_energy_matches_profile(mesh_l2, mesh_l3, mesh_l4, mesh_l5):
+    for mesh in (build_icosphere(0), build_icosphere(1), mesh_l2, mesh_l3,
+                 mesh_l4, mesh_l5):
         u = perturbed(mesh, eps=0.2, seed=4)
-        i, j = mesh.edges.T
-        for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
-            prof = local_energy_profile(u, radius)
+        prof = local_energy_profile(u)
+        if mesh.level <= 4:
             # the V x E sum: the edges with both ends in the ball, added in
             # ascending edge order
-            inside = _dense_balls(mesh, radius)
+            i, j = mesh.edges.T
+            inside = _dense_balls(mesh)
             both = sparse.csr_matrix(inside[:, i] & inside[:, j])
             ref = both @ edge_energies(u)
             np.testing.assert_allclose(prof, ref, rtol=1e-12, atol=0.0)
-    u = perturbed(mesh_l3, eps=0.2, seed=4)
-    verts = mesh_l3.vertices
-    for radius in (0.3, 0.7, 1.3):
-        prof = local_energy_profile(u, radius)
-        for k in (0, 17, 200, 641):
+        verts, radius = mesh.vertices, 5.0 * mesh.mean_edge_length
+        for k in np.linspace(0, mesh.n_vertices - 1, 7).astype(int):
             # the two membership tests differ only within 1e-12 of the
-            # boundary; these radii keep every vertex clear of it
-            gap = np.abs(verts @ verts[k] - math.cos(radius)).min()
-            assert gap > 1e-9
+            # boundary; the 5h balls keep every vertex clear of it, and at
+            # level 0 both are the whole sphere
+            if radius < math.pi:
+                assert np.abs(verts @ verts[k] - math.cos(radius)).min() > 1e-9
             assert local_energy(u, verts[k], radius) == pytest.approx(
                 prof[k], rel=1e-12)
 
 
-def test_detect_concentration_threshold(mesh_l4):
-    flag, max_local, _ = detect_concentration(identity_map(mesh_l4))
+def test_detect_concentration_threshold(mesh_l4, monkeypatch):
+    flag, max_local = detect_concentration(identity_map(mesh_l4))
     assert not flag
     assert max_local < FOUR_PI - 1.0
     spec = ScenarioSpec(kind="concentrated_unbalanced", level=4, seed=1,
                         eps=0.0, a_norm=0.95)
     u = generate(spec, mesh_l4)
-    flag2, max_local2, where = detect_concentration(
-        u, FlowConfig(concentration_threshold=5.0))
+    # the threshold is read at each call
+    monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD", 5.0)
+    flag2, max_local2 = detect_concentration(u)
     assert flag2 and max_local2 >= 5.0
-    assert abs(np.linalg.norm(where) - 1.0) < 1e-12
+    # a ball that reaches the threshold exactly raises the flag
+    monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD", max_local2)
+    assert detect_concentration(u) == (True, max_local2)
+    monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD",
+                        math.nextafter(max_local2, math.inf))
+    assert detect_concentration(u) == (False, max_local2)
 
 
-def _dense_balls(mesh, radius):
+def test_concentration_stops_the_run_at_the_first_record(mesh_l3, monkeypatch):
+    u0 = perturbed(mesh_l3, eps=0.1, seed=0)
+    first = detect_concentration(u0)[1]
+    monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD", 0.5 * first)
+    _, trace = run_flow(u0, default_flow_config(mesh_l3))
+    assert trace.status == "SingularityDetected"
+    assert trace.steps == 0 and len(trace.samples) == 1
+    assert trace.samples[0].degree == 1 and trace.samples[0].max_local == first
+
+
+def _dense_balls(mesh):
     """Brute force: inside[k, i] says that vertex i lies in ball k."""
     x = mesh.vertices
+    radius = 5.0 * mesh.mean_edge_length
     return x @ x.T >= math.cos(min(radius, math.pi)) - 1e-12
 
 
@@ -239,7 +250,7 @@ def _check_shared_ones(ball, rim, *more):
     assert buffer is not None and not buffer.flags.writeable
     assert buffer.size == max(ball.nnz, rim.nnz)
     for op in (ball, rim, *more):
-        # an empty slice (no rim at level 0 and radius 1.3) holds no memory
+        # an empty slice (no rim at level 0) holds no memory
         assert op.data.base is buffer
         assert np.shares_memory(op.data, buffer) == (op.nnz > 0)
         assert not op.data.flags.writeable
@@ -247,34 +258,32 @@ def _check_shared_ones(ball, rim, *more):
             op.data[:1] = 1.0
 
 
-def _check_operators(mesh, radius):
+def _check_operators(mesh):
     """`ball` is the membership and `rim` the edges with one end inside;
     both read one buffer of ones."""
-    inside = _dense_balls(mesh, radius)
+    inside = _dense_balls(mesh)
     i, j = mesh.edges.T
-    ball, rim = flow_mod._concentration_operator(mesh, radius)
+    ball, rim = flow_mod._concentration_operator(mesh)
     _check_csr(ball, inside)
     _check_csr(rim, inside[:, i] ^ inside[:, j])
     _check_shared_ones(ball, rim)
-    return inside
 
 
-def _check_largest_ball(u, radius):
-    """The monitor returns the profile's first largest ball, bit for bit, the
-    cell bound is at least every ball's energy, and its reach operator reads
-    the ball's buffer of ones."""
-    prof = local_energy_profile(u, radius)
-    idx = int(np.argmax(prof))
-    assert flow_mod._largest_ball(u, radius) == (prof[idx], idx)
-    if radius < math.pi:
-        flag, max_local, where = detect_concentration(
-            u, FlowConfig(concentration_radius=radius))
-        assert max_local == prof[idx] and flag == (prof[idx] >= FOUR_PI - 1.0)
-        assert np.array_equal(where, u.mesh.vertices[idx])
-        _, star = flow_mod._edge_and_star_energies(u)
-        assert np.all(flow_mod._ball_bounds(u, radius, star) >= prof)
-        _check_shared_ones(*flow_mod._concentration_operator(u.mesh, radius),
-                           flow_mod._cell_bound_operator(u.mesh, radius)[1])
+def _check_largest_ball(u):
+    """The monitor returns the profile's largest ball, bit for bit, the cell
+    bound is at least every ball's energy, within the BOUND_RTOL margin of
+    the ball's star sum that the candidates keep, and its reach operator
+    reads the ball's buffer of ones."""
+    prof = local_energy_profile(u)
+    assert flow_mod._largest_ball(u) == prof.max()
+    assert detect_concentration(u) == (prof.max() >= FOUR_PI - 1.0, prof.max())
+    # at level 0 every ball is the whole sphere, with no rim, and its bound
+    # is the same sum added in another order
+    ball, rim = flow_mod._concentration_operator(u.mesh)
+    _, star = flow_mod._edge_and_star_energies(u)
+    bound = flow_mod._ball_bounds(u, star)
+    assert np.all(bound >= prof - flow_mod.BOUND_RTOL * (ball @ star))
+    _check_shared_ones(ball, rim, flow_mod._cell_bound_operator(u.mesh)[1])
 
 
 def _monitored_maps(mesh):
@@ -286,35 +295,9 @@ def _monitored_maps(mesh):
 
 
 def _check_matches_brute_force(mesh):
-    maps = _monitored_maps(mesh)
-    for radius in (5.0 * mesh.mean_edge_length, 0.3, 0.7, 1.3):
-        _check_operators(mesh, radius)
-        for u in maps:
-            _check_largest_ball(u, radius)
-
-
-def _check_edge_radii(mesh):
-    min_arc = 2.0 * math.asin(mesh.min_edge_length / 2.0)
-    i, j = mesh.edges.T
-    maps = _monitored_maps(mesh)
-    # a ball around one vertex reaching none of its neighbours holds only
-    # its centre, and its rim is the centre's star
-    inside = _check_operators(mesh, 0.5 * min_arc)
-    assert np.array_equal(inside, np.eye(mesh.n_vertices, dtype=bool))
-    # the shortest edges lie on the boundary of their end points' balls
-    inside = _check_operators(mesh, min_arc)
-    assert (inside[:, i] & inside[:, j]).any()
-    for radius in (0.5 * min_arc, min_arc):
-        for u in maps:
-            _check_largest_ball(u, radius)
-    # a ball of radius pi or more is the whole sphere: no operator is built
-    keys = set(mesh._cache)
-    for radius in (math.pi, 4.0):
-        for u in maps:
-            prof = local_energy_profile(u, radius)
-            assert prof.shape == (mesh.n_vertices,) and np.all(prof == energy(u))
-            _check_largest_ball(u, radius)
-    assert set(mesh._cache) == keys
+    _check_operators(mesh)
+    for u in _monitored_maps(mesh):
+        _check_largest_ball(u)
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -322,25 +305,18 @@ def test_concentration_operator_matches_brute_force(level):
     _check_matches_brute_force(build_icosphere(level))
 
 
-def test_concentration_operator_edge_radii(mesh_l2):
-    _check_edge_radii(mesh_l2)
-
-
 @pytest.mark.parametrize("level", range(5))
 def test_concentration_operator_blocks_join_exactly(monkeypatch, level):
     # odd block sizes: from level 2 on, the build spans several blocks of
-    # rows and of pairs and ends on partial ones; the edge radii give empty
-    # blocks and full rows
+    # rows and of pairs and ends on partial ones; level 0 gives full rows
     monkeypatch.setattr(flow_mod, "BALL_BLOCK", 97)
     monkeypatch.setattr(flow_mod, "PAIR_BLOCK", 1009)
-    mesh = build_icosphere(level)
-    _check_matches_brute_force(mesh)
-    _check_edge_radii(mesh)
+    _check_matches_brute_force(build_icosphere(level))
 
 
 def test_concentration_operator_digest_at_level_5(mesh_l5):
     # 10,242 balls: three blocks of rows and two of pairs at the default sizes
-    ops = flow_mod._concentration_operator(mesh_l5, 5.0 * mesh_l5.mean_edge_length)
+    ops = flow_mod._concentration_operator(mesh_l5)
     digest = hashlib.sha256()
     for op in ops:
         assert op.indptr.dtype == op.indices.dtype == np.int32
@@ -354,7 +330,7 @@ def test_concentration_operator_build_peaks_near_its_size():
     mesh.vertex_tree   # the tree belongs to the mesh, not to the build
     tracemalloc.start()
     try:
-        ops = flow_mod._concentration_operator(mesh, 5.0 * mesh.mean_edge_length)
+        ops = flow_mod._concentration_operator(mesh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,29 +338,6 @@ def test_concentration_operator_build_peaks_near_its_size():
     size = ops[0].data.base.nbytes + sum(op.indices.nbytes + op.indptr.nbytes
                                          for op in ops)
     assert peak <= 1.25 * size
-
-
-def test_concentration_operator_refuses_a_membership_over_budget(monkeypatch):
-    # the estimate V^2 (1 - cos r) / 2 of the 0.7 ball's entries sits within
-    # a few percent of the count; the refusal comes before any pair query
-    mesh = build_icosphere(3)
-    entries = _dense_balls(mesh, 0.7).sum()
-
-    def no_pairs(*args):
-        raise AssertionError("pairs queried")
-
-    monkeypatch.setattr(flow_mod, "_ball_pairs", no_pairs)
-    monkeypatch.setattr(flow_mod, "MAX_BALL_ENTRIES", 0.95 * entries)
-    with pytest.raises(ResourceLimitError):
-        flow_mod._concentration_operator(mesh, 0.7)
-    with pytest.raises(ResourceLimitError):
-        detect_concentration(identity_map(mesh),
-                             FlowConfig(concentration_radius=0.7))
-    assert not any(isinstance(key, tuple) and key[0].startswith("conc")
-                   for key in mesh._cache)
-    monkeypatch.undo()
-    monkeypatch.setattr(flow_mod, "MAX_BALL_ENTRIES", 1.05 * entries)
-    assert flow_mod._concentration_operator(mesh, 0.7)[0].nnz == entries
 
 
 @given(concentrated=st.booleans(), level=st.sampled_from([3, 4]),
@@ -405,18 +358,17 @@ def test_largest_ball_is_the_profile_maximum(mesh_l3, mesh_l4, concentrated,
     u = generate(spec, mesh)
     if stepped:
         u = step(u, default_flow_config(mesh))
-    _check_largest_ball(u, 5.0 * mesh.mean_edge_length)
+    _check_largest_ball(u)
 
 
 def test_cell_bound_keeps_few_balls_of_a_collapse(mesh_l4):
-    radius = 5.0 * mesh_l4.mean_edge_length
     start, identity = _monitored_maps(mesh_l4)
     collapsed, trace = run_flow(start, default_flow_config(mesh_l4))
     assert trace.status == "SingularityDetected" and trace.steps == 1
 
     def candidates(u):
         e, star = flow_mod._edge_and_star_energies(u)
-        return flow_mod._candidate_balls(u, radius, e, star)
+        return flow_mod._candidate_balls(u, e, star)
 
     # the bubble and the collapsed map: a few balls around the concentration
     for u in (start, collapsed):
@@ -425,29 +377,16 @@ def test_cell_bound_keeps_few_balls_of_a_collapse(mesh_l4):
     assert np.array_equal(candidates(identity), np.arange(mesh_l4.n_vertices))
 
 
-@pytest.mark.parametrize("radius", [-0.3, -1e-300, math.nan])
-def test_local_energy_profile_rejects_negative_and_nan_radius(mesh_l3, radius):
-    # cos(-r) = cos r read -0.3 as the 0.3 ball, and a NaN key, matching no
-    # other, built and kept one more operator per call
-    with pytest.raises(ParameterDomainError):
-        local_energy_profile(identity_map(mesh_l3), radius)
-
-
-def test_local_energy_profile_at_radius_zero_is_zero(mesh_l3):
-    prof = local_energy_profile(identity_map(mesh_l3), 0.0)
-    assert prof.shape == (mesh_l3.n_vertices,) and not prof.any()
-
-
 def test_local_energy_profile_of_the_whole_sphere_is_the_energy():
-    # a ball of radius pi or more is the whole sphere, as in
-    # fields.local_energy; no V(V-1)/2 pair query and no operator is built
-    mesh = build_icosphere(3)
+    # 5h is 5.26 at level 0, clamped to pi: every ball is the whole sphere,
+    # with no rim, and holds the energy up to rounding
+    mesh = build_icosphere(0)
     u = perturbed(mesh, eps=0.2, seed=4)
-    for radius in (math.pi, 4.0, math.inf):
-        prof = local_energy_profile(u, radius)
-        assert prof.shape == (mesh.n_vertices,) and np.all(prof == energy(u))
-    assert not any(isinstance(key, tuple) and key[0] == "conc"
-                   for key in mesh._cache)
+    ball, rim = flow_mod._concentration_operator(mesh)
+    assert ball.nnz == mesh.n_vertices ** 2 and rim.nnz == 0
+    prof = local_energy_profile(u)
+    assert np.all(prof == prof[0])
+    assert prof[0] == pytest.approx(energy(u), rel=1e-14)
 
 
 def test_concentration_monitor_and_location_share_one_tree(monkeypatch):

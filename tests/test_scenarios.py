@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +102,10 @@ def test_spec_validation():
         ScenarioSpec(kind="rational_k", level=3, k=0)
     with pytest.raises(ParameterDomainError):
         ScenarioSpec(kind="rational_k", level=3, k=5)
+    # 2.5 would generate a map of face-sum degree 2, True one of degree 1
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(ParameterDomainError, match="int k"):
+            ScenarioSpec(kind="rational_k", level=3, k=k)
     with pytest.raises(ParameterDomainError):
         ScenarioSpec(kind="perturbed_mobius", level=3, eps=0.6, mobius=BASE)
     with pytest.raises(ParameterDomainError):
@@ -158,6 +164,16 @@ def test_spec_json_round_trip():
     assert back.to_json() == spec.to_json()
     assert np.array_equal(back.mobius.quat, spec.mobius.quat)
     assert np.array_equal(back.mobius.a, spec.mobius.a)
+
+
+@pytest.mark.parametrize("field, value", [("level", 2.9), ("seed", 3.7),
+                                          ("level", "3"), ("seed", True)])
+def test_spec_from_json_refuses_what_the_constructor_refuses(field, value):
+    # int() would load level 2.9 as 2 and seed 3.7 as 3
+    d = json.loads(ScenarioSpec(kind="mobius", level=3, seed=3).to_json())
+    d[field] = value
+    with pytest.raises(ParameterDomainError, match=field):
+        ScenarioSpec.from_json(json.dumps(d))
 
 
 def test_standard_family_shape_and_determinism():

@@ -89,7 +89,7 @@ def balance(u, tol=BALANCE_TOL):
     BalanceFailedError carrying the best located iterate when the corrector
     stops contracting or runs out of steps.
     """
-    if not 0.0 < tol < math.inf:  # refuses NaN too
+    if isinstance(tol, bool) or not 0.0 < tol < math.inf:  # NaN fails too
         raise ParameterDomainError(f"tol must be positive and finite, got {tol}")
     if degree(u) != 1:
         raise PreconditionError("balancing requires a degree-one map")

@@ -25,21 +25,22 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .balance import balance
 from .errors import S2FlowError
 from .fields import degree, energy, l2_norm_sq, load_map, mean, save_map, tension
-from .flow import default_dt, run_flow, write_trace_csv
+from .flow import SCHEMES, FlowConfig, default_dt, run_flow, write_trace_csv
 from .mesh import build_icosphere
 from .mobius import MobiusParams, max_pullback_radius
 from .rigidity import (constant_sweep, default_flow_config, energy_deficit,
                        strict_json, tension_floor, verify_rigidity,
                        write_sweep_csv, write_sweep_summary)
-from .scenarios import ScenarioSpec, standard_family, generate
+from .scenarios import KINDS, ScenarioSpec, standard_family, generate
 
-_FLOW_KEYS = ("scheme", "dt", "stop_tension", "t_max", "record_every")
+_FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
 LEVEL = 4   # mesh level of generate, sweep and mesh-info without --level
 
 
@@ -113,7 +114,7 @@ def _flow_config(args, mesh):
 
 
 def _add_flow_flags(sub):
-    sub.add_argument("--scheme", choices=("explicit", "semi-implicit"))
+    sub.add_argument("--scheme", choices=SCHEMES)
     sub.add_argument("--dt", type=float)
     sub.add_argument("--stop-tension", type=float, dest="stop_tension")
     sub.add_argument("--t-max", type=float, dest="t_max")
@@ -253,9 +254,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="write a scenario map to a file")
-    gen.add_argument("--kind", required=True,
-                     choices=("mobius", "rational_k", "perturbed_mobius",
-                              "concentrated_unbalanced"))
+    gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--level", type=int)
     gen.add_argument("--seed", type=int)
     gen.add_argument("--eps", type=float)
@@ -265,18 +264,15 @@ def _build_parser():
     gen.add_argument("--a-norm", type=float, dest="a_norm",
                      help="|a| for concentrated_unbalanced")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--config")
     gen.set_defaults(func=cmd_generate)
 
     ene = subs.add_parser("energy", help="energy, degree, tension, mean of a map file")
     ene.add_argument("map")
-    ene.add_argument("--config")
     ene.set_defaults(func=cmd_energy)
 
     bal = subs.add_parser("balance", help="center-of-mass balancing parameter")
     bal.add_argument("map")
     bal.add_argument("--tol", type=float)
-    bal.add_argument("--config")
     bal.set_defaults(func=cmd_balance)
 
     flo = subs.add_parser("flow", help="run the heat flow from a map file")
@@ -284,7 +280,6 @@ def _build_parser():
     flo.add_argument("--out", help="final map file")
     flo.add_argument("--trace", help="trace CSV file")
     _add_flow_flags(flo)
-    flo.add_argument("--config")
     flo.set_defaults(func=cmd_flow)
 
     ver = subs.add_parser("verify", help="balance, flow, and distance/excess report")
@@ -293,7 +288,6 @@ def _build_parser():
     ver.add_argument("--tol", type=float)
     ver.add_argument("--excess-limit", type=float, dest="excess_limit")
     _add_flow_flags(ver)
-    ver.add_argument("--config")
     ver.set_defaults(func=cmd_verify)
 
     swp = subs.add_parser("sweep", help="rigidity pipeline across a scenario family")
@@ -306,14 +300,14 @@ def _build_parser():
     swp.add_argument("--out", help="rows CSV file")
     swp.add_argument("--summary", help="summary JSON file")
     _add_flow_flags(swp)
-    swp.add_argument("--config")
     swp.set_defaults(func=cmd_sweep)
 
     nfo = subs.add_parser("mesh-info", help="mesh scales and calibrations")
     nfo.add_argument("--level", type=int)
-    nfo.add_argument("--config")
     nfo.set_defaults(func=cmd_mesh_info)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--config")
     return parser, subs.choices
 
 

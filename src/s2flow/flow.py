@@ -9,12 +9,13 @@ production runs.  The system is factored once per (mesh, dt) in a
 nested-dissection vertex order, built once per mesh from the vertex
 coordinates, which fills far less than a generic column ordering.
 
-A run records a trace (energy, tension, center of mass, degree, local energy
-concentration) every few steps, polices monotone energy decay (halving dt
-once per energy rise, counted in the trace), and stops on small tension, the
-time horizon, or a concentration event.  Between records the degree is
-checked only after a step that releases more than COLLAPSE_DROP, as a
-collapse does, so a lost degree stops the run at the step that lost it.
+A run records a trace (the map, its energy, tension, center of mass,
+degree, local energy concentration) every few steps, polices monotone energy
+decay (halving dt once per energy rise, counted in the trace), and stops on
+small tension, the time horizon, or a concentration event.  Between records
+the degree is checked only after a step that releases more than
+COLLAPSE_DROP, as a collapse does, so a lost degree stops the run at the
+step that lost it.
 
 The local energy in every geodesic ball of radius 5h (h the mean edge
 length) is the ball's sum of vertex stars (each vertex's edge energies)
@@ -36,7 +37,7 @@ products.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -76,9 +77,9 @@ class FlowConfig:
         if self.scheme not in SCHEMES:
             raise ParameterDomainError(f"scheme must be one of {SCHEMES}")
         # True would pass every check below as 1
-        for name in ("dt", "stop_tension", "t_max", "record_every"):
-            if isinstance(getattr(self, name), bool):
-                raise ParameterDomainError(f"{name} must be a number, not a bool")
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), bool):
+                raise ParameterDomainError(f"{f.name} must be a number, not a bool")
         # the comparisons refuse NaN and inf too
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ParameterDomainError("dt must be positive and finite")
@@ -99,12 +100,12 @@ class FlowSample:
     degree: int | None
     max_local: float
     path_length: float       # cumulative sum of dt * ||tau||_L2 up to t
+    u: SphereMap             # the map at t
 
 
 @dataclass
 class FlowTrace:
     samples: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)   # map at each sample
     status: str = ""
     dt_halvings: int = 0          # energy-rise retries; each halves dt for good
     steps: int = 0                # accepted advances; a halved retry counts once
@@ -456,8 +457,7 @@ def run_flow(u0, cfg=None, *, degree=None):
         trace.samples.append(FlowSample(
             t=t, energy=state.energy, tension_sq=state.tau_sq,
             mean=mean(u), degree=deg, max_local=max_local,
-            path_length=path_len))
-        trace.snapshots.append(u)
+            path_length=path_len, u=u))
         last_recorded = nstep
         if degree_ref is None and deg is not None and not trace.samples[1:]:
             degree_ref = deg
@@ -477,17 +477,17 @@ def run_flow(u0, cfg=None, *, degree=None):
         if t >= cfg.t_max - 1e-12:
             trace.status = "MaxTimeReached"
             break
-        u_next = _advance(u, state, dt, cfg.scheme)
-        state_next = _State(u_next)
-        if state_next.energy > state.energy * (1.0 + ENERGY_SLACK):
-            dt *= 0.5  # halve once and retry; a second increase fails the run
-            trace.dt_halvings += 1
+        for attempt in range(2):   # an energy rise halves dt; a second fails the run
             u_next = _advance(u, state, dt, cfg.scheme)
             state_next = _State(u_next)
-            if state_next.energy > state.energy * (1.0 + ENERGY_SLACK):
+            if not state_next.energy > state.energy * (1.0 + ENERGY_SLACK):
+                break
+            if attempt == 1:
                 raise EnergyMonotonicityError(
                     f"energy rose from {state.energy:.12g} to "
                     f"{state_next.energy:.12g} even after halving dt to {dt:g}")
+            dt *= 0.5
+            trace.dt_halvings += 1
         released = state.energy - state_next.energy
         path_len += dt * math.sqrt(state.tau_sq)
         t += dt
@@ -527,10 +527,9 @@ def flow_certificates(trace):
     if len(trace.samples) < 2:
         return []
     end = trace.samples[-1]
-    u_end = trace.snapshots[-1]
     rows = []
-    for smp, snap in zip(trace.samples[:-1], trace.snapshots[:-1]):
-        lhs = math.sqrt(l2_dist_sq(u_end, snap))
+    for smp in trace.samples[:-1]:
+        lhs = math.sqrt(l2_dist_sq(end.u, smp.u))
         mid = end.path_length - smp.path_length
         if lhs > mid * (1.0 + CERTIFICATE_RTOL) + 1e-13:
             raise CertificateError(

@@ -34,7 +34,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -261,29 +261,15 @@ class RigidityReport:
     stage_s: dict                 # wall seconds in "balance", "flow" and "fit"
 
     def to_dict(self):
-        return {
-            "balance_a": [float(c) for c in self.balance_a],
-            "balance_iterations": self.balance_iterations,
-            "balance_residual": self.balance_residual,
-            "decomposition_residual": self.decomposition_residual,
-            "degenerate": self.degenerate,
-            "energy_deficit": self.energy_deficit,
-            "excess": self.excess,
-            "excess_input": self.excess_input,
-            "excess_tension_ratio": self.excess_tension_ratio,
-            "fit_converged": self.fit_converged,
-            "fit_seminorm_dist": self.fit_seminorm_dist,
-            "fitted_params": params_to_line(self.fitted_params),
-            "flow_degree_monitored": self.trace.degree_monitored,
-            "flow_dt_halvings": self.trace.dt_halvings,
-            "flow_status": self.flow_status,
-            "flow_steps": self.trace.steps,
-            "l2_dist_sq": self.l2_dist_sq,
-            "mean_v_norm": self.mean_v_norm,
-            "ratio": self.ratio,
-            "seminorm_dist": self.seminorm_dist,
-            "stage_s": self.stage_s,
-        }
+        """Every field but the maps and the trace, plus the trace's counts."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("balanced", "limit", "trace")}
+        d["balance_a"] = [float(c) for c in self.balance_a]
+        d["fitted_params"] = params_to_line(self.fitted_params)
+        d["flow_degree_monitored"] = self.trace.degree_monitored
+        d["flow_dt_halvings"] = self.trace.dt_halvings
+        d["flow_steps"] = self.trace.steps
+        return d
 
     def to_json(self):
         return strict_json(self.to_dict())
@@ -300,7 +286,8 @@ def verify_rigidity(u, flow_cfg=None, tol=BALANCE_TOL, excess_limit=None):
     An input whose calibrated excess lies above `excess_limit` (default
     default_excess_limit()) raises VacuousRegimeError.
     """
-    if excess_limit is not None and not excess_limit > 0.0:  # refuses NaN too
+    if excess_limit is not None and (isinstance(excess_limit, bool)
+                                     or not excess_limit > 0.0):  # NaN fails too
         raise ParameterDomainError(
             f"excess_limit must be positive, got {excess_limit}")
     mesh = u.mesh
@@ -486,15 +473,14 @@ def constant_sweep(family, flow_cfg=None, jobs=1):
 
 
 def write_sweep_csv(rows, path):
+    """One line per row: the SWEEP_HEADER fields, floats as %.17g."""
+    columns = SWEEP_HEADER.split(",")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for r in rows:
-            numeric = (r.excess, r.seminorm_dist, r.l2_dist_sq, r.ratio,
-                       r.excess_tension_ratio, r.ax, r.ay, r.az, r.mean_v_norm)
-            fields = ([r.case_id, str(r.level), "%.17g" % r.eps]
-                      + ["%.17g" % x for x in numeric]
-                      + [r.status, "%.17g" % r.fit_seminorm_dist])
-            fh.write(",".join(fields) + "\n")
+            cells = (getattr(r, c) for c in columns)
+            fh.write(",".join("%.17g" % x if isinstance(x, float) else str(x)
+                              for x in cells) + "\n")
 
 
 def write_sweep_summary(summary, path):

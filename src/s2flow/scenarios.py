@@ -13,6 +13,7 @@ Same spec in, bit-identical map out.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ def _check_level_and_seed(level, seed):
         raise ParameterDomainError(f"seed must be non-negative, got {seed}")
 
 
+def _is_number(value):
+    """A real number and not a bool: a string would fail the range checks
+    with TypeError, and True would pass them as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: str
@@ -57,8 +64,8 @@ class ScenarioSpec:
         if self.kind not in KINDS:
             raise ParameterDomainError(f"unknown scenario kind {self.kind!r}")
         _check_level_and_seed(self.level, self.seed)
-        if not 0.0 <= self.eps <= EPS_MAX:
-            raise ParameterDomainError(f"eps must lie in [0, {EPS_MAX}]")
+        if not _is_number(self.eps) or not 0.0 <= self.eps <= EPS_MAX:
+            raise ParameterDomainError(f"eps must lie in [0, {EPS_MAX}], got {self.eps!r}")
         given = {"mobius": self.mobius is not None, "k": self.k is not None,
                  "eps": self.eps != 0.0, "a_norm": self.a_norm is not None}
         unread = [f for f, is_set in given.items() if is_set and f not in READS[self.kind]]
@@ -70,9 +77,9 @@ class ScenarioSpec:
                 raise ParameterDomainError(
                     f"rational_k needs an int k in [-4, 4], k != 0, got {self.k!r}")
         if self.kind == "concentrated_unbalanced":
-            if self.a_norm is None or not 0.9 <= self.a_norm <= 0.99:
-                raise ParameterDomainError(
-                    "concentrated_unbalanced needs a_norm in [0.9, 0.99]")
+            if not _is_number(self.a_norm) or not 0.9 <= self.a_norm <= 0.99:
+                raise ParameterDomainError("concentrated_unbalanced needs a_norm "
+                                           f"in [0.9, 0.99], got {self.a_norm!r}")
 
     def to_json(self):
         d = {"kind": self.kind, "level": self.level, "seed": self.seed,
@@ -94,7 +101,7 @@ class ScenarioSpec:
             params = MobiusParams(np.asarray(mob["quat"], dtype=float),
                                   np.asarray(mob["a"], dtype=float))
         return cls(kind=d["kind"], level=d["level"], seed=d.get("seed", 0),
-                   mobius=params, k=d.get("k"), eps=float(d.get("eps", 0.0)),
+                   mobius=params, k=d.get("k"), eps=d.get("eps", 0.0),
                    a_norm=d.get("a_norm"))
 
 

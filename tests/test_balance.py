@@ -71,7 +71,8 @@ def test_failure_carries_best_iterate(mesh_l4):
     assert err.value.best is not None
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+# True would run as a tolerance of 1 (one pullback, residual 1.3e-5 at level 3)
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), True])
 def test_tolerance_outside_its_domain_is_refused_before_any_pullback(
         mesh_l2, monkeypatch, tol):
     monkeypatch.setattr(importlib.import_module("s2flow.balance"), "pullback",

@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from s2flow.cli import main
+from s2flow.cli import _build_parser, main
 from s2flow.fields import energy, load_map
-from s2flow.flow import TRACE_HEADER
+from s2flow.flow import TRACE_HEADER, FlowConfig
 from s2flow.mesh import build_icosphere
 from s2flow.mobius import MobiusParams, sample
 from s2flow.scenarios import ScenarioSpec
@@ -266,6 +267,16 @@ def test_sweep_rejects_zero_jobs(capsys):
     rc, _, err = run_cli(capsys, "sweep", "--level", "2", "--jobs", "0")
     assert rc == 1
     assert "jobs" in err
+
+
+def test_every_command_takes_a_config_and_each_flow_key_a_flag():
+    # the flow keys a command passes on are FlowConfig's fields
+    _, commands = _build_parser()
+    for name, sub in commands.items():
+        dests = {action.dest for action in sub._actions}
+        assert "config" in dests, name
+        if name in ("flow", "verify", "sweep"):
+            assert {f.name for f in fields(FlowConfig)} <= dests, name
 
 
 def test_config_file_fills_unset_flags(tmp_path, capsys):

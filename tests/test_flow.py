@@ -132,7 +132,8 @@ def test_run_flow_converges_and_certificates_hold(mesh_l4, scheme):
     certs = flow_certificates(trace)
     assert len(certs) == len(trace.samples) - 1
     assert all(r.lhs <= r.mid * (1 + 1e-6) + 1e-13 for r in certs)
-    assert math.sqrt(l2_dist_sq(v, trace.snapshots[-1])) == 0.0
+    assert trace.samples[0].u is u0
+    assert math.sqrt(l2_dist_sq(v, trace.samples[-1].u)) == 0.0
 
 
 def test_mobius_sample_is_discrete_equilibrium(mesh_l4):
@@ -450,9 +451,9 @@ def test_certificate_violation_raises():
     u1 = constant_map(m, [0.0, 0.0, -1.0])
     def smp(t, u, plen):
         return FlowSample(t=t, energy=energy(u), tension_sq=0.0, mean=mean(u),
-                          degree=0, max_local=0.0, path_length=plen)
+                          degree=0, max_local=0.0, path_length=plen, u=u)
     trace = FlowTrace(samples=[smp(0.0, u0, 0.0), smp(1.0, u1, 1e-8)],
-                      snapshots=[u0, u1], status="Converged")
+                      status="Converged")
     with pytest.raises(CertificateError):
         flow_certificates(trace)
 
@@ -603,14 +604,13 @@ def balanced_l4_family(mesh_l4):
 def _same_trace(a, b):
     assert (a.status, a.steps, a.dt, a.dt_halvings) == (
         b.status, b.steps, b.dt, b.dt_halvings)
-    assert len(a.samples) == len(b.samples) == len(a.snapshots) == len(b.snapshots)
+    assert len(a.samples) == len(b.samples)
     for x, y in zip(a.samples, b.samples):
         assert (x.t, x.energy, x.tension_sq, x.degree, x.max_local,
                 x.path_length) == (y.t, y.energy, y.tension_sq, y.degree,
                                    y.max_local, y.path_length)
         assert np.array_equal(x.mean, y.mean)
-    for x, y in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(x.values, y.values)
+        assert np.array_equal(x.u.values, y.u.values)
 
 
 def test_collapse_check_has_no_side_effects(mesh_l4, balanced_l4_family,

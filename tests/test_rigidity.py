@@ -355,9 +355,10 @@ def test_verify_rejects_large_excess_at_the_default_limit(mesh_l3):
         verify_rigidity(u)
 
 
-@pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0, True])
 def test_verify_refuses_an_excess_limit_that_is_not_positive(mesh_l4, limit):
-    # a NaN limit would compare false and switch the vacuous-regime guard off
+    # a NaN limit would compare false and switch the vacuous-regime guard
+    # off; True would compare as 1
     with pytest.raises(ParameterDomainError, match="excess_limit"):
         verify_rigidity(perturbed(mesh_l4, eps=0.1, seed=0), excess_limit=limit)
 
@@ -390,6 +391,15 @@ def test_verify_perturbed_case(mesh_l5):
     assert rep.fit_seminorm_dist >= 0.0
     assert rep.decomposition_residual < 0.05
     d = json.loads(rep.to_json())
+    # every report number, and the trace's counts; no map and no trace
+    assert set(d) == {
+        "balance_a", "balance_iterations", "balance_residual",
+        "decomposition_residual", "degenerate", "energy_deficit", "excess",
+        "excess_input", "excess_tension_ratio", "fit_converged",
+        "fit_seminorm_dist", "fitted_params", "flow_degree_monitored",
+        "flow_dt_halvings", "flow_status", "flow_steps", "l2_dist_sq",
+        "mean_v_norm", "ratio", "seminorm_dist", "stage_s", "sup_dv"}
+    assert d["sup_dv"] == rep.sup_dv
     assert d["ratio"] == rep.ratio
     assert d["fitted_params"].startswith("mobius ")
     assert d["fit_converged"] is True
@@ -489,7 +499,7 @@ def test_sweep_mobius_family_all_degenerate(mesh_l3):
     assert summary["mean_v_bound_ok"]
 
 
-def test_sweep_survives_a_failing_case():
+def test_sweep_survives_a_failing_case(tmp_path):
     fam = [ScenarioSpec(kind="perturbed_mobius", level=3, seed=0, eps=0.1),
            ScenarioSpec(kind="concentrated_unbalanced", level=3, seed=1,
                         eps=0.05, a_norm=0.95)]
@@ -498,6 +508,16 @@ def test_sweep_survives_a_failing_case():
     assert rows[1].status.endswith("Error")
     assert math.isnan(rows[1].excess)
     assert summary["n_cases"] == 2 and summary["n_converged"] == 1
+    # the failed row fills every column too, its numbers with nan
+    csv = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, csv)
+    columns = SWEEP_HEADER.split(",")
+    cells = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [len(c) for c in cells] == [len(columns)] * 2
+    failed = dict(zip(columns, cells[1]))
+    assert (failed["case_id"], failed["level"], failed["eps"], failed["status"]) == (
+        rows[1].case_id, "3", "0.050000000000000003", rows[1].status)
+    assert all(failed[c] == "nan" for c in columns[3:-2] + columns[-1:])
 
 
 def test_sweep_deterministic_and_parallel_agree(tmp_path):

@@ -176,6 +176,23 @@ def test_spec_from_json_refuses_what_the_constructor_refuses(field, value):
         ScenarioSpec.from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eps", "0.1"), ("eps", True), ("eps", False),
+    ("a_norm", "0.95"), ("a_norm", True), ("a_norm", False)])
+def test_spec_refuses_a_string_or_bool_eps_or_a_norm(field, value):
+    # a string failed the range checks with TypeError, and from_json's
+    # float() turned "0.1" into 0.1; False passed as eps 0 and was written
+    # back as false
+    kwargs = {"kind": "concentrated_unbalanced", "level": 3, "eps": 0.05,
+              "a_norm": 0.95}
+    d = json.loads(ScenarioSpec(**kwargs).to_json())
+    with pytest.raises(ParameterDomainError, match=field):
+        ScenarioSpec(**dict(kwargs, **{field: value}))
+    d[field] = value
+    with pytest.raises(ParameterDomainError, match=field):
+        ScenarioSpec.from_json(json.dumps(d))
+
+
 def test_standard_family_shape_and_determinism():
     fam1 = standard_family(4)
     fam2 = standard_family(4)

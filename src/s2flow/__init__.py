@@ -13,8 +13,7 @@ from .errors import (BalanceFailedError, CertificateError, DegreeUnresolvedError
                      StepDegenerateError, VacuousRegimeError)
 from .fields import (FOUR_PI, SphereMap, constant_map, degree, degree_estimate,
                      dirichlet_diff, energy, identity_map, l2_dist_sq,
-                     l2_norm_sq, load_map, local_energy, mean, save_map,
-                     tension)
+                     l2_norm_sq, load_map, mean, save_map, tension)
 from .flow import (FlowConfig, FlowTrace, default_dt, detect_concentration,
                    flow_certificates, local_energy_profile, run_flow, step,
                    write_trace_csv)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegreeUnresolvedError, FileFormatError,
-                     ParameterDomainError)
+from .errors import DegreeUnresolvedError, FileFormatError
 from .mesh import MAX_LEVEL, TriMesh, build_icosphere, row_norms
 
 FOUR_PI = 4.0 * math.pi
@@ -66,14 +65,6 @@ def energy_and_tension(u):
 def energy(u):
     """Dirichlet energy 0.5 * sum_edges w_ij |u_i - u_j|^2."""
     return energy_and_tension(u)[0]
-
-
-def edge_energies(u):
-    """Per-edge terms 0.5 * w_ij |u_i - u_j|^2 of the Dirichlet energy."""
-    e = u.mesh.edges
-    d = np.take(u.values, e[:, 0], axis=0)
-    d -= np.take(u.values, e[:, 1], axis=0)
-    return 0.5 * u.mesh.edge_weights * np.einsum("ij,ij->i", d, d)
 
 
 def degree_estimate(u):
@@ -141,20 +132,6 @@ def l2_dist_sq(u, v):
     """Mass-weighted squared L2 distance between two maps on one mesh."""
     _check_same_mesh(u, v)
     return l2_norm_sq(u.values - v.values, u.mesh)
-
-
-def local_energy(u, center, radius):
-    """Energy edge sum restricted to edges with both endpoints within
-    geodesic `radius` of `center` (a unit vector in the domain)."""
-    if not radius >= 0.0:
-        raise ParameterDomainError(f"radius must be non-negative, got {radius}")
-    if radius == 0.0:
-        return 0.0
-    if radius >= math.pi:
-        return energy(u)
-    inside = u.mesh.vertices @ np.asarray(center, dtype=float) >= math.cos(radius)
-    e = u.mesh.edges
-    return float(edge_energies(u)[inside[e[:, 0]] & inside[e[:, 1]]].sum())
 
 
 # --- plain-text map files ---------------------------------------------------

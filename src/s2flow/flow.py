@@ -17,23 +17,14 @@ the degree is checked only after a step that releases more than
 COLLAPSE_DROP, as a collapse does, so a lost degree stops the run at the
 step that lost it.
 
-The local energy in every geodesic ball of radius 5h (h the mean edge
-length) is the ball's sum of vertex stars (each vertex's edge energies)
-less its rim edges, halved: two sparse matvecs, with a V x V ball
-membership and a V x E rim operator built once per mesh from k-d tree ball
-pairs and one sparse product, taken over blocks of balls so that the build
-needs little more memory than the two operators.  Their data, and that of
-the cell bound's reach operator below, is one shared read-only buffer of
-ones, since every entry is 1.  At level 0, 5h exceeds pi, and every ball is
-the whole sphere.
-
-A record needs only the largest ball, and finds it exactly: half the star
-sums of the cells (groups of neighbouring vertices) that the balls of a cell
-touch bound each ball from above, one exact ball bounds the largest from
-below, and only the balls whose bound reaches it are summed, by row slices
-that add each row as the full products do.  A concentrated map leaves a few
-dozen such balls; a smooth one leaves them all, and takes the full
-products.
+The local energy is taken over patches: the star of each vertex of the
+icosphere PATCH_COARSENING levels coarser (the coarse faces around it,
+reaching one coarse edge, about 4h, from it, h the mean edge length; at
+levels 0 to 2 the coarse mesh is the icosahedron).  Subdivision numbers the
+four children of face f as f, F+f, 2F+f and 3F+f, so fine face g lies in
+coarse face g mod F_c.  A record sums the fine faces' energy shares into
+their coarse faces and those into the patches of their corners: O(F) work
+with nothing built per mesh.
 """
 
 import math
@@ -46,8 +37,8 @@ from scipy.sparse.linalg import splu
 from .errors import (CertificateError, DegreeUnresolvedError,
                      EnergyMonotonicityError, ParameterDomainError,
                      SolverError, StepDegenerateError)
-from .fields import (FOUR_PI, SphereMap, degree, edge_energies,
-                     energy_and_tension, l2_dist_sq, l2_norm_sq, mean)
+from .fields import (FOUR_PI, SphereMap, degree, energy_and_tension,
+                     l2_dist_sq, l2_norm_sq, mean)
 from .mesh import row_norms
 
 SCHEMES = ("explicit", "semi-implicit")
@@ -55,14 +46,10 @@ SCHEMES = ("explicit", "semi-implicit")
 ENERGY_SLACK = 1e-9          # relative per-step energy increase tolerance
 SOLVE_RTOL = 1e-10           # semi-implicit residual guard
 CERTIFICATE_RTOL = 1e-6      # relative slack of the displacement certificates
-CONCENTRATION_RADIUS = 5.0   # monitor ball radius, in mean edge lengths
+PATCH_COARSENING = 2         # monitor patches: vertex stars this many levels coarser
 CONCENTRATION_THRESHOLD = FOUR_PI - 1.0
 COLLAPSE_DROP = math.pi      # a quarter bubble: one step's release that checks the degree
 ND_LEAF = 32                 # nested dissection: vertex sets this small are not cut
-BALL_BLOCK = 4096            # concentration operator: balls per product block
-PAIR_BLOCK = 1 << 18         # concentration operator: pairs per filter block
-BOUND_RTOL = 1e-9            # cell bound: margin under the lower bound, of its star sum
-CANDIDATE_SHARE = 0.2        # more candidate balls than this share: full products
 
 
 @dataclass
@@ -230,190 +217,45 @@ def step(u, cfg=None):
 
 # --- concentration monitor --------------------------------------------------
 
-def _ball_pairs(mesh, cos_r):
-    """(K x 2) vertex pairs (i, k), i < k, with <x_i, x_k> >= cos_r, in
-    int32, the index type of the membership built from them.
+def _patch_corners(mesh):
+    """(F_c, 3) corners of the coarse faces, PATCH_COARSENING levels up.
 
-    The candidates come from the mesh's vertex k-d tree (`vertex_tree`, which
-    also starts point location) at the ball's chord, padded; the exact test
-    runs over blocks of PAIR_BLOCK candidates.
+    `_subdivide` keeps the first corner of a face in its first child and
+    numbers the children of face f as f, F+f, 2F+f and 3F+f, so the corners
+    of coarse face c are the first corners of fine faces c, F_c+c and
+    2F_c+c, and fine face g lies in coarse face g mod F_c.
     """
-    x = mesh.vertices
-    chord = math.sqrt(2.0 - 2.0 * cos_r) + 1e-9   # padded for |x| != 1
-    pairs = mesh.vertex_tree.query_pairs(chord, output_type="ndarray")
-    kept = [np.empty((0, 2), dtype=np.int32)]   # a ball may hold no pair
-    for s in range(0, len(pairs), PAIR_BLOCK):
-        p = pairs[s:s + PAIR_BLOCK]
-        dots = np.einsum("ij,ij->i", np.take(x, p[:, 0], axis=0),
-                         np.take(x, p[:, 1], axis=0))
-        kept.append(p[dots >= cos_r].astype(np.int32))
-    return np.concatenate(kept)
-
-
-def _ones_operator(ones, indices, indptr, shape):
-    """The 0/1 CSR operator of (indices, indptr), whose data is the leading
-    slice of the read-only buffer `ones`.
-
-    The slice is set after construction: csr_matrix copies a view that
-    spans less than half of its buffer.
-    """
-    op = sparse.csr_matrix((ones[:len(indices)], indices, indptr), shape=shape)
-    op.data = ones[:op.nnz]
-    return op
-
-
-def _concentration_operator(mesh):
-    """(ball, rim) for the balls of radius r = min(5h, pi) around every
-    vertex, one per mesh.
-
-    `ball` (V x V) holds the vertices x_i of ball k, <x_i, x_k> >= cos r -
-    1e-12, the centre included; `rim` (V x E) holds the edges with exactly one
-    end in it.  Summing the vertex stars over a ball counts each edge inside
-    it twice and each rim edge once, so the ball's energy is
-    0.5 * (ball @ star - rim @ e).
-
-    Both come from ball pairs and one sparse product: C = Y B counts the ends
-    of edge e in ball k (Y the membership, which becomes `ball`, B the edge
-    incidence), and `rim` keeps C == 1.  The product, the selection and the
-    sort run over blocks of BALL_BLOCK rows, each keeping only its column
-    indices and row counts, so the build peaks near the two operators' size.
-    Their float64 data is one read-only buffer of max(ball nnz, rim nnz)
-    ones, of which each takes a leading slice.
-    """
-    def build():
-        n, n_edges = mesh.n_vertices, mesh.n_edges
-        radius = CONCENTRATION_RADIUS * mesh.mean_edge_length
-        i, k = _ball_pairs(mesh, math.cos(min(radius, math.pi)) - 1e-12).T
-        diag = np.arange(n, dtype=np.int32)
-        y = sparse.csr_matrix(
-            (np.ones(2 * len(i) + n, dtype=np.int8),
-             (np.concatenate([i, k, diag]), np.concatenate([k, i, diag]))),
-            shape=(n, n))
-        del i, k   # the pairs are in y now; free them before the product
-        y.sort_indices()
-        b = sparse.csc_matrix(
-            (np.ones(2 * n_edges, dtype=np.int8), mesh.edges.ravel(),
-             np.arange(0, 2 * n_edges + 1, 2)),
-            shape=(n, n_edges)).tocsr()
-        counts, indices = [], []
-        for r in range(0, n, BALL_BLOCK):
-            c = y[r:r + BALL_BLOCK] @ b   # CSR, int8: no count exceeds 2
-            c.data = c.data == 1
-            c.eliminate_zeros()
-            c.sort_indices()
-            counts.append(np.diff(c.indptr))
-            indices.append(c.indices)
-        del b, c   # free both before the float64 data is allocated
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        indices = np.concatenate(indices)
-        # one-byte work until here: the only float64 data is one read-only
-        # buffer of ones that both operators slice; csr_matrix narrows the
-        # int64 indptr to int32 while the counts fit
-        ones = np.ones(max(y.nnz, len(indices)))
-        ones.flags.writeable = False
-        rim = _ones_operator(ones, indices, indptr, (n, n_edges))
-        ball = _ones_operator(ones, y.indices, y.indptr, (n, n))
-        return ball, rim
-
-    return mesh.memo("conc", build)
-
-
-def _cell_bound_operator(mesh):
-    """(cell, reach) of the cell bound on the monitor's balls, one per mesh.
-
-    Each vertex's cell is the smallest index in its closed 1-ring, the first
-    column of its row of the stiffness matrix (2,562 cells at level 5).
-    `reach` (cells x cells, 0/1) marks the cells that some ball centred in a
-    cell touches: the pattern of Inc^T ball Inc, with Inc the vertex-to-cell
-    incidence, from boolean products.  Its data is a leading slice of the
-    ball's read-only buffer of ones: each of its entries has at least one
-    entry of `ball` behind it, so it has no more entries than `ball`.
-    """
-    def build():
-        n = mesh.n_vertices
-        stiffness = mesh.stiffness   # rows sorted, diagonal included
-        labels, cell = np.unique(stiffness.indices[stiffness.indptr[:-1]],
-                                 return_inverse=True)
-        inc = sparse.csr_matrix(
-            (np.ones(n, dtype=bool), cell, np.arange(n + 1)),
-            shape=(n, len(labels)))
-        ball = _concentration_operator(mesh)[0]
-        pattern = sparse.csr_matrix(
-            (np.ones(ball.nnz, dtype=bool), ball.indices, ball.indptr),
-            shape=ball.shape)
-        reach = (inc.T @ (pattern @ inc)).tocsr()
-        reach.sort_indices()
-        return cell, _ones_operator(ball.data, reach.indices, reach.indptr,
-                                    reach.shape)
-
-    return mesh.memo("conc_cells", build)
-
-
-def _edge_and_star_energies(u):
-    """(e, star): the edge energies and each vertex's sum of them."""
-    e = edge_energies(u)
-    # each vertex's edges in ascending edge order, as rim's sorted rows add
-    # them, so a ball of one vertex sums to exactly 0
-    star = np.bincount(u.mesh.edges.ravel(), weights=np.repeat(e, 2),
-                       minlength=u.mesh.n_vertices)
-    return e, star
+    n_coarse = 20 * 4 ** max(mesh.level - PATCH_COARSENING, 0)
+    if n_coarse == mesh.n_faces:
+        return mesh.faces
+    return mesh.faces[:3 * n_coarse, 0].reshape(3, n_coarse).T
 
 
 def local_energy_profile(u):
-    """Local energy in the monitor's ball around every vertex."""
-    ball, rim = _concentration_operator(u.mesh)
-    e, star = _edge_and_star_energies(u)
-    return 0.5 * (ball @ star - rim @ e)
+    """Local energy in the patch around every coarse vertex.
 
-
-def _ball_bounds(u, star):
-    """An upper bound on every ball's energy: half the stars of the cells
-    that balls centred in its centre's cell touch (the rim term is
-    non-negative)."""
-    cell, reach = _cell_bound_operator(u.mesh)
-    s = np.bincount(cell, weights=star, minlength=reach.shape[0])
-    return 0.5 * (reach @ s)[cell]
-
-
-def _candidate_balls(u, e, star):
-    """The vertices whose ball may hold the largest energy, ascending.
-
-    The exact ball around the vertex of largest star is a lower bound on the
-    largest.  A ball whose bound stays below it by more than BOUND_RTOL of
-    that ball's star sum, far above the rounding of any of these sums,
-    cannot hold the largest.  Negative edge energies (negative cotangent
-    weights) or NaN void the bound, and then every ball is a candidate.
+    Each fine face's share of the energy, 0.25 cot(corner) |u_i - u_j|^2
+    over its three edges, is summed into its coarse face and each coarse
+    face into the patches of its three corners, so the profile sums to 3E.
     """
-    if not e.min() >= 0.0:
-        return np.arange(u.mesh.n_vertices)
-    ball, rim = _concentration_operator(u.mesh)
-    k = int(np.argmax(star))
-    inside = star[ball.indices[ball.indptr[k]:ball.indptr[k + 1]]].sum()
-    lower = 0.5 * (inside - e[rim.indices[rim.indptr[k]:rim.indptr[k + 1]]].sum())
-    bound = _ball_bounds(u, star)
-    return np.flatnonzero(bound >= lower - BOUND_RTOL * inside)
-
-
-def _largest_ball(u):
-    """The largest ball energy: the maximum of local_energy_profile(u), bit
-    for bit."""
-    ball, rim = _concentration_operator(u.mesh)
-    e, star = _edge_and_star_energies(u)
-    rows = _candidate_balls(u, e, star)
-    if len(rows) <= CANDIDATE_SHARE * u.mesh.n_vertices:
-        # a row slice adds each row in the order of the full product
-        ball, rim = ball[rows], rim[rows]
-    return float((0.5 * (ball @ star - rim @ e)).max())
+    mesh = u.mesh
+    p, q, r = (np.take(u.values, mesh.faces[:, k], axis=0) for k in range(3))
+    share = np.zeros(mesh.n_faces)
+    for k, (a, b) in enumerate(((q, r), (r, p), (p, q))):   # opposite corner k
+        d = a - b
+        share += mesh.face_cotangents[:, k] * np.einsum("ij,ij->i", d, d)
+    corners = _patch_corners(mesh)
+    coarse = 0.25 * share.reshape(-1, len(corners)).sum(axis=0)
+    return np.bincount(corners.ravel(), weights=np.repeat(coarse, 3))
 
 
 def detect_concentration(u, cfg=None):   # cfg is unread; perfbench passes one
     """The largest local energy; returns (flag, max_local).
 
-    max_local is exactly the largest value of local_energy_profile, found
-    by summing only the balls that the cell bound cannot rule out, and the
-    flag says that it reaches CONCENTRATION_THRESHOLD.
+    max_local is the largest value of local_energy_profile, and the flag
+    says that it reaches CONCENTRATION_THRESHOLD.
     """
-    max_local = _largest_ball(u)
+    max_local = float(local_energy_profile(u).max())
     return max_local >= CONCENTRATION_THRESHOLD, max_local
 
 

@@ -182,8 +182,7 @@ class TriMesh:
         """The value stored under `key`, built once by calling `build()`.
 
         Holds what other modules derive per mesh (calibrations, the
-        fill-reducing order and LU factors, concentration operators and
-        their cell bounds) for the lifetime of the mesh.
+        fill-reducing order and LU factors) for the lifetime of the mesh.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -227,7 +226,7 @@ class TriMesh:
 
     @cached_property
     def vertex_tree(self):
-        """k-d tree of the vertices: nearest-vertex queries and ball pairs."""
+        """k-d tree of the vertices: the nearest-vertex queries of point location."""
         # imported here: scipy.spatial adds ~7 MB to every process importing s2flow
         from scipy.spatial import cKDTree
 

@@ -33,10 +33,15 @@ KINDS = tuple(READS)
 EPS_MAX = 0.5
 
 
+def _is_int(value):
+    """An int and not a bool, which would pass as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_level_and_seed(level, seed):
     """Refuse a level outside [0, MAX_LEVEL], a negative seed, or a non-int."""
     for name, value in (("level", level), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ParameterDomainError(f"{name} must be an int, got {value!r}")
     if not 0 <= level <= MAX_LEVEL:
         raise ParameterDomainError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
@@ -72,8 +77,7 @@ class ScenarioSpec:
         if unread:
             raise ParameterDomainError(f"{self.kind} does not read {', '.join(unread)}")
         if self.kind == "rational_k":
-            if (not isinstance(self.k, int) or isinstance(self.k, bool)
-                    or not -4 <= self.k <= 4 or self.k == 0):
+            if not _is_int(self.k) or not -4 <= self.k <= 4 or self.k == 0:
                 raise ParameterDomainError(
                     f"rational_k needs an int k in [-4, 4], k != 0, got {self.k!r}")
         if self.kind == "concentrated_unbalanced":
@@ -173,6 +177,12 @@ def standard_family(level, eps_values=(0.02, 0.05, 0.1, 0.2), seeds_per_eps=5,
     An empty family is refused: a sweep over it would report nothing."""
     # the seeds only grow from base_seed; refuse a bad one before any draw
     _check_level_and_seed(level, base_seed)
+    if not _is_int(seeds_per_eps):
+        raise ParameterDomainError(
+            f"seeds_per_eps must be an int, got {seeds_per_eps!r}")
+    if not all(_is_number(eps) for eps in eps_values):
+        raise ParameterDomainError(
+            f"eps values must be real numbers, got {tuple(eps_values)!r}")
     if seeds_per_eps < 1 or len(eps_values) == 0:
         raise ParameterDomainError(
             f"the family needs eps values and seeds_per_eps >= 1, got "

@@ -1,9 +1,7 @@
-import hashlib
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +13,8 @@ import s2flow.flow as flow_mod
 from s2flow.balance import balance
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
                            ParameterDomainError, StepDegenerateError)
-from s2flow.fields import (FOUR_PI, SphereMap, edge_energies, energy,
-                           identity_map, l2_dist_sq, l2_norm_sq, local_energy,
-                           tension)
+from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
+                           l2_dist_sq, l2_norm_sq, tension)
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
                          default_dt, detect_concentration, flow_certificates,
                          local_energy_profile, run_flow, step, write_trace_csv)
@@ -174,28 +171,107 @@ def test_concentrated_start_is_detected_as_singular(mesh_l4):
     assert every.status == "SingularityDetected" and every.steps == 1
 
 
-def test_local_energy_matches_profile(mesh_l2, mesh_l3, mesh_l4, mesh_l5):
-    for mesh in (build_icosphere(0), build_icosphere(1), mesh_l2, mesh_l3,
-                 mesh_l4, mesh_l5):
-        u = perturbed(mesh, eps=0.2, seed=4)
+def _coarse_mesh(mesh):
+    return build_icosphere(max(mesh.level - flow_mod.PATCH_COARSENING, 0))
+
+
+def _patch_oracle(u):
+    """Brute force: each fine face's energy share (fancy-indexed), placed in
+    the coarse face of a freshly built coarse mesh whose cone holds its
+    centroid, and added to the patches of that coarse face's corners."""
+    mesh, x = u.mesh, u.values
+    coarse = _coarse_mesh(mesh)
+    assert np.array_equal(coarse.vertices, mesh.vertices[:coarse.n_vertices])
+    share = np.zeros(mesh.n_faces)
+    for k in range(3):
+        d = x[mesh.faces[:, (k + 1) % 3]] - x[mesh.faces[:, (k + 2) % 3]]
+        share += 0.25 * mesh.face_cotangents[:, k] * (d * d).sum(axis=1)
+    inv = np.linalg.inv(coarse.vertices[coarse.faces].transpose(0, 2, 1))
+    bary = np.einsum("cij,fj->fci", inv, mesh.vertices[mesh.faces].sum(axis=1))
+    depth = bary.min(axis=2)
+    home = depth.argmax(axis=1)
+    # each centroid lies inside one coarse cone and outside the others
+    assert depth.max(axis=1).min() > 0.0
+    assert np.sort(depth, axis=1)[:, -2].max() < 0.0
+    member = np.zeros((coarse.n_vertices, mesh.n_faces))
+    for k in range(3):
+        member[coarse.faces[home, k], np.arange(mesh.n_faces)] = 1.0
+    return member @ share
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_concentration_operator_matches_brute_force(level):
+    # the patch sum is a 0/1 operator from fine faces to coarse vertices,
+    # applied by index arithmetic; the oracle finds it geometrically
+    mesh = build_icosphere(level)
+    for u in (perturbed(mesh, eps=0.2, seed=4), identity_map(mesh),
+              generate(ScenarioSpec(kind="concentrated_unbalanced", level=level,
+                                    seed=1, eps=0.05, a_norm=0.95), mesh)):
         prof = local_energy_profile(u)
-        if mesh.level <= 4:
-            # the V x E sum: the edges with both ends in the ball, added in
-            # ascending edge order
-            i, j = mesh.edges.T
-            inside = _dense_balls(mesh)
-            both = sparse.csr_matrix(inside[:, i] & inside[:, j])
-            ref = both @ edge_energies(u)
-            np.testing.assert_allclose(prof, ref, rtol=1e-12, atol=0.0)
-        verts, radius = mesh.vertices, 5.0 * mesh.mean_edge_length
-        for k in np.linspace(0, mesh.n_vertices - 1, 7).astype(int):
-            # the two membership tests differ only within 1e-12 of the
-            # boundary; the 5h balls keep every vertex clear of it, and at
-            # level 0 both are the whole sphere
-            if radius < math.pi:
-                assert np.abs(verts @ verts[k] - math.cos(radius)).min() > 1e-9
-            assert local_energy(u, verts[k], radius) == pytest.approx(
-                prof[k], rel=1e-12)
+        np.testing.assert_allclose(prof, _patch_oracle(u), rtol=1e-12, atol=0.0)
+        assert detect_concentration(u)[1] == prof.max()
+
+
+def test_local_energy_matches_profile():
+    # a patch's local energy is the Dirichlet energy of its faces, half the
+    # area times |grad u|^2 of the linear interpolant on each flat face, from
+    # the face's Gram matrix and no cotangent, at levels 0 to 5
+    for level in range(6):
+        mesh = build_icosphere(level)
+        x = mesh.vertices[mesh.faces]
+        gram_edges = np.stack([x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]], axis=1)
+        gram = np.einsum("fai,fbi->fab", gram_edges, gram_edges)
+        area = 0.5 * np.sqrt(np.linalg.det(gram))
+        coarse = _coarse_mesh(mesh)
+        home = np.arange(mesh.n_faces) % coarse.n_faces
+        for u in (perturbed(mesh, eps=0.2, seed=4), identity_map(mesh)):
+            y = u.values[mesh.faces]
+            d = np.stack([y[:, 1] - y[:, 0], y[:, 2] - y[:, 0]], axis=1)
+            grad_sq = np.einsum("fai,fab,fbi->f", d, np.linalg.inv(gram), d)
+            face_energy = 0.5 * area * grad_sq
+            local = np.zeros(coarse.n_vertices)
+            for k in range(3):
+                np.add.at(local, coarse.faces[home, k], face_energy)
+            np.testing.assert_allclose(local_energy_profile(u), local,
+                                       rtol=1e-12, atol=0.0)
+
+
+def test_local_energy_profile_of_the_whole_sphere_is_the_energy():
+    # every face lies in the patches of its coarse face's three corners, so
+    # the patches cover the sphere three times and the profile sums to 3E,
+    # at levels 0 to 5
+    for level in range(6):
+        mesh = build_icosphere(level)
+        for u in (perturbed(mesh, eps=0.2, seed=4), identity_map(mesh)):
+            prof = local_energy_profile(u)
+            assert len(prof) == _coarse_mesh(mesh).n_vertices
+            assert prof.min() > 0.0
+            assert prof.sum() == pytest.approx(3.0 * energy(u), rel=1e-12)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_fine_face_lies_in_coarse_face_g_mod_fc(level):
+    # _subdivide numbers the children of face f as f, F+f, 2F+f and 3F+f:
+    # every corner of fine face g lies in the spherical triangle of coarse
+    # face g mod F_c, whose corners are the first corners of fine faces c,
+    # F_c+c and 2F_c+c
+    mesh = build_icosphere(level)
+    coarse = _coarse_mesh(mesh)
+    assert np.array_equal(flow_mod._patch_corners(mesh), coarse.faces)
+    home = np.arange(mesh.n_faces) % coarse.n_faces
+    inv = np.linalg.inv(coarse.vertices[coarse.faces].transpose(0, 2, 1))
+    bary = np.einsum("gij,gkj->gki", inv[home], mesh.vertices[mesh.faces])
+    assert bary.min() >= -1e-12
+
+
+def test_concentrated_start_tops_the_identity_profile(mesh_l4):
+    # a bubble of a_norm 0.95 puts over half a sphere's energy in one
+    # patch (8.68); the identity spreads its energy over all 162 (0.248)
+    spec = ScenarioSpec(kind="concentrated_unbalanced", level=4, seed=1,
+                        eps=0.05, a_norm=0.95)
+    peak = detect_concentration(generate(spec, mesh_l4))[1]
+    smooth = detect_concentration(identity_map(mesh_l4))[1]
+    assert peak > 20.0 * smooth and peak > 0.5 * FOUR_PI
 
 
 def test_detect_concentration_threshold(mesh_l4, monkeypatch):
@@ -209,7 +285,7 @@ def test_detect_concentration_threshold(mesh_l4, monkeypatch):
     monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD", 5.0)
     flag2, max_local2 = detect_concentration(u)
     assert flag2 and max_local2 >= 5.0
-    # a ball that reaches the threshold exactly raises the flag
+    # a patch that reaches the threshold exactly raises the flag
     monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD", max_local2)
     assert detect_concentration(u) == (True, max_local2)
     monkeypatch.setattr(flow_mod, "CONCENTRATION_THRESHOLD",
@@ -227,128 +303,13 @@ def test_concentration_stops_the_run_at_the_first_record(mesh_l3, monkeypatch):
     assert trace.samples[0].degree == 1 and trace.samples[0].max_local == first
 
 
-def _dense_balls(mesh):
-    """Brute force: inside[k, i] says that vertex i lies in ball k."""
-    x = mesh.vertices
-    radius = 5.0 * mesh.mean_edge_length
-    return x @ x.T >= math.cos(min(radius, math.pi)) - 1e-12
-
-
-def _check_csr(op, dense):
-    assert op.format == "csr" and op.has_sorted_indices
-    assert op.indptr.dtype == op.indices.dtype == np.int32
-    assert op.data.dtype == np.float64 and np.all(op.data == 1.0)
-    assert op.shape == dense.shape
-    assert np.array_equal(op.indptr,
-                          np.concatenate([[0], np.cumsum(dense.sum(axis=1))]))
-    assert np.array_equal(op.indices, np.nonzero(dense)[1])
-
-
-def _check_shared_ones(ball, rim, *more):
-    """The operators' data are slices of one read-only buffer of ones, as
-    long as the larger of `ball` and `rim`."""
-    buffer = ball.data.base
-    assert buffer is not None and not buffer.flags.writeable
-    assert buffer.size == max(ball.nnz, rim.nnz)
-    for op in (ball, rim, *more):
-        # an empty slice (no rim at level 0) holds no memory
-        assert op.data.base is buffer
-        assert np.shares_memory(op.data, buffer) == (op.nnz > 0)
-        assert not op.data.flags.writeable
-        with pytest.raises(ValueError):
-            op.data[:1] = 1.0
-
-
-def _check_operators(mesh):
-    """`ball` is the membership and `rim` the edges with one end inside;
-    both read one buffer of ones."""
-    inside = _dense_balls(mesh)
-    i, j = mesh.edges.T
-    ball, rim = flow_mod._concentration_operator(mesh)
-    _check_csr(ball, inside)
-    _check_csr(rim, inside[:, i] ^ inside[:, j])
-    _check_shared_ones(ball, rim)
-
-
-def _check_largest_ball(u):
-    """The monitor returns the profile's largest ball, bit for bit, the cell
-    bound is at least every ball's energy, within the BOUND_RTOL margin of
-    the ball's star sum that the candidates keep, and its reach operator
-    reads the ball's buffer of ones."""
-    prof = local_energy_profile(u)
-    assert flow_mod._largest_ball(u) == prof.max()
-    assert detect_concentration(u) == (prof.max() >= FOUR_PI - 1.0, prof.max())
-    # at level 0 every ball is the whole sphere, with no rim, and its bound
-    # is the same sum added in another order
-    ball, rim = flow_mod._concentration_operator(u.mesh)
-    _, star = flow_mod._edge_and_star_energies(u)
-    bound = flow_mod._ball_bounds(u, star)
-    assert np.all(bound >= prof - flow_mod.BOUND_RTOL * (ball @ star))
-    _check_shared_ones(ball, rim, flow_mod._cell_bound_operator(u.mesh)[1])
-
-
-def _monitored_maps(mesh):
-    """A concentrated start, on which the bound keeps few balls, and the
-    identity, on which it keeps all."""
-    spec = ScenarioSpec(kind="concentrated_unbalanced", level=mesh.level,
-                        seed=1, eps=0.05, a_norm=0.95)
-    return generate(spec, mesh), identity_map(mesh)
-
-
-def _check_matches_brute_force(mesh):
-    _check_operators(mesh)
-    for u in _monitored_maps(mesh):
-        _check_largest_ball(u)
-
-
-@pytest.mark.parametrize("level", range(5))
-def test_concentration_operator_matches_brute_force(level):
-    _check_matches_brute_force(build_icosphere(level))
-
-
-@pytest.mark.parametrize("level", range(5))
-def test_concentration_operator_blocks_join_exactly(monkeypatch, level):
-    # odd block sizes: from level 2 on, the build spans several blocks of
-    # rows and of pairs and ends on partial ones; level 0 gives full rows
-    monkeypatch.setattr(flow_mod, "BALL_BLOCK", 97)
-    monkeypatch.setattr(flow_mod, "PAIR_BLOCK", 1009)
-    _check_matches_brute_force(build_icosphere(level))
-
-
-def test_concentration_operator_digest_at_level_5(mesh_l5):
-    # 10,242 balls: three blocks of rows and two of pairs at the default sizes
-    ops = flow_mod._concentration_operator(mesh_l5)
-    digest = hashlib.sha256()
-    for op in ops:
-        assert op.indptr.dtype == op.indices.dtype == np.int32
-        digest.update(op.indptr.tobytes() + op.indices.tobytes())
-    assert digest.hexdigest() == (
-        "0f15361ca24920c69de5fddb894d9c645dbe66bfd555164f2df6f1a4568cd661")
-
-
-def test_concentration_operator_build_peaks_near_its_size():
-    mesh = build_icosphere(5)
-    mesh.vertex_tree   # the tree belongs to the mesh, not to the build
-    tracemalloc.start()
-    try:
-        ops = flow_mod._concentration_operator(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the operators share one buffer of ones: count it once
-    size = ops[0].data.base.nbytes + sum(op.indices.nbytes + op.indptr.nbytes
-                                         for op in ops)
-    assert peak <= 1.25 * size
-
-
 @given(concentrated=st.booleans(), level=st.sampled_from([3, 4]),
        seed=st.integers(0, 10_000), a_norm=st.floats(0.9, 0.99),
        eps=st.sampled_from([0.0, 0.05, 0.2]), stepped=st.booleans())
 def test_largest_ball_is_the_profile_maximum(mesh_l3, mesh_l4, concentrated,
-                                              level, seed, a_norm, eps,
-                                              stepped):
-    # concentrated starts take the candidate path, smooth ones the full
-    # products; either way the record is the profile's, bit for bit
+                                             level, seed, a_norm, eps,
+                                             stepped):
+    # the monitor's largest patch (its region was a ball before the patches)
     mesh = {3: mesh_l3, 4: mesh_l4}[level]
     if concentrated:
         spec = ScenarioSpec(kind="concentrated_unbalanced", level=level,
@@ -359,38 +320,13 @@ def test_largest_ball_is_the_profile_maximum(mesh_l3, mesh_l4, concentrated,
     u = generate(spec, mesh)
     if stepped:
         u = step(u, default_flow_config(mesh))
-    _check_largest_ball(u)
-
-
-def test_cell_bound_keeps_few_balls_of_a_collapse(mesh_l4):
-    start, identity = _monitored_maps(mesh_l4)
-    collapsed, trace = run_flow(start, default_flow_config(mesh_l4))
-    assert trace.status == "SingularityDetected" and trace.steps == 1
-
-    def candidates(u):
-        e, star = flow_mod._edge_and_star_energies(u)
-        return flow_mod._candidate_balls(u, e, star)
-
-    # the bubble and the collapsed map: a few balls around the concentration
-    for u in (start, collapsed):
-        assert len(candidates(u)) < 0.05 * mesh_l4.n_vertices
-    # a smooth map: every ball stays a candidate, and the full products run
-    assert np.array_equal(candidates(identity), np.arange(mesh_l4.n_vertices))
-
-
-def test_local_energy_profile_of_the_whole_sphere_is_the_energy():
-    # 5h is 5.26 at level 0, clamped to pi: every ball is the whole sphere,
-    # with no rim, and holds the energy up to rounding
-    mesh = build_icosphere(0)
-    u = perturbed(mesh, eps=0.2, seed=4)
-    ball, rim = flow_mod._concentration_operator(mesh)
-    assert ball.nnz == mesh.n_vertices ** 2 and rim.nnz == 0
-    prof = local_energy_profile(u)
-    assert np.all(prof == prof[0])
-    assert prof[0] == pytest.approx(energy(u), rel=1e-14)
+    top = local_energy_profile(u).max()
+    assert detect_concentration(u) == (top >= FOUR_PI - 1.0, top)
+    assert top < FOUR_PI - 1.0   # no start or step of these reaches it
 
 
 def test_concentration_monitor_and_location_share_one_tree(monkeypatch):
+    # the one k-d tree on a mesh is point location's: the monitor builds none
     import scipy.spatial
 
     built = []
@@ -402,11 +338,12 @@ def test_concentration_monitor_and_location_share_one_tree(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
     mesh = build_icosphere(3)
+    # the monitor reads the face table alone and leaves nothing on the mesh
+    detect_concentration(identity_map(mesh))
+    assert built == [] and mesh._cache == {}
     pts = np.random.default_rng(0).standard_normal((50, 3))
     locate_batch(mesh, pts / np.linalg.norm(pts, axis=1, keepdims=True))
     assert len(built) == 1   # cold walks start from the nearest vertex
-    detect_concentration(identity_map(mesh))
-    assert len(built) == 1
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():

@@ -157,6 +157,23 @@ def test_standard_family_refuses_an_empty_family(kwargs):
         standard_family(2, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seeds_per_eps": True}, {"seeds_per_eps": False}, {"seeds_per_eps": 2.5},
+    {"seeds_per_eps": "2"}, {"seeds_per_eps": 2.0},
+    {"eps_values": ("0.1",)}, {"eps_values": (True,)},
+    {"eps_values": (0.1, False)}, {"eps_values": (0.1, None)}])
+def test_standard_family_refuses_a_count_or_eps_of_the_wrong_type(kwargs):
+    # True would read as 1 and "0.1" as 0.1; 2.5 would fail in range()
+    with pytest.raises(ParameterDomainError, match="must be"):
+        standard_family(2, **kwargs)
+
+
+def test_standard_family_takes_numpy_numbers():
+    fam = standard_family(2, eps_values=np.array([0.05, 0.1]), seeds_per_eps=1)
+    assert [s.eps for s in fam] == [0.05, 0.1]
+    assert all(type(s.eps) is float for s in fam)
+
+
 def test_spec_json_round_trip():
     spec = ScenarioSpec(kind="perturbed_mobius", level=4, seed=9, eps=0.1,
                         mobius=BASE)

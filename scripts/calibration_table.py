@@ -20,12 +20,15 @@ from s2flow.mobius import max_pullback_radius
 from s2flow.rigidity import energy_deficit, tension_floor
 
 
+def level_list(text):
+    return [int(s) for s in text.split(",")]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--levels", default="2,3,4,5",
+    ap.add_argument("--levels", default="2,3,4,5", type=level_list,
                     help="comma-separated mesh levels")
-    args = ap.parse_args(argv)
-    levels = [int(s) for s in args.levels.split(",")]
+    levels = ap.parse_args(argv).levels
 
     header = (f"{'L':>2} {'verts':>7} {'h_mean':>9} {'deficit':>11} "
               f"{'floor':>11} {'a_max':>7} {'dt_expl':>10} {'dt_semi':>9}")

@@ -38,9 +38,14 @@ def eps_list(text):
     return tuple(float(s) for s in text.split(","))
 
 
+def level_list(text):
+    return [int(s) for s in text.split(",")]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--levels", default="4", help="comma-separated mesh levels")
+    ap.add_argument("--levels", default="4", type=level_list,
+                    help="comma-separated mesh levels")
     # unset family and pool options keep standard_family's and
     # constant_sweep's defaults
     ap.add_argument("--eps-list", dest="eps_values", type=eps_list,
@@ -51,7 +56,7 @@ def main(argv=None):
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args(argv)
 
-    levels = [int(s) for s in args.levels.split(",")]
+    levels = args.levels
     family_kw = {k: v for k, v in vars(args).items()
                  if k in ("eps_values", "seeds_per_eps", "base_seed") and v is not None}
     sweep_kw = {"jobs": args.jobs} if args.jobs is not None else {}

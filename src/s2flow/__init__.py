@@ -8,12 +8,13 @@ from .balance import BalanceResult, balance, center_functional
 from .errors import (BalanceFailedError, CertificateError, DegreeUnresolvedError,
                      EnergyMonotonicityError, FileFormatError, FitFailedError,
                      InterpolationDegenerateError, ParameterDomainError,
-                     PreconditionError, PullbackUnderresolvedError,
-                     ResourceLimitError, S2FlowError, SolverError,
-                     StepDegenerateError, VacuousRegimeError)
+                     PointLocationError, PreconditionError,
+                     PullbackUnderresolvedError, ResourceLimitError,
+                     S2FlowError, SolverError, StepDegenerateError,
+                     VacuousRegimeError)
 from .fields import (FOUR_PI, SphereMap, constant_map, degree, degree_estimate,
-                     dirichlet_diff, energy, identity_map, l2_dist_sq,
-                     l2_norm_sq, load_map, mean, save_map, tension)
+                     dirichlet_diff, energy, face_energies, identity_map,
+                     l2_dist_sq, l2_norm_sq, load_map, mean, save_map, tension)
 from .flow import (FlowConfig, FlowTrace, default_dt, detect_concentration,
                    flow_certificates, local_energy_profile, run_flow, step,
                    write_trace_csv)

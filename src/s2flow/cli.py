@@ -12,11 +12,13 @@ pipeline to files:
     s2flow mesh-info --level 5
 
 Every subcommand accepts --config pointing at a JSON object whose keys match
-the long flag names (dashes as underscores; `inp` for --in); explicit flags
+the long names of its optional flags (dashes as underscores); explicit flags
 override config values.  Config values are converted and checked like flag
-text (type and choices); a key naming no option of the subcommand, or a value
-the option refuses, is a usage error.  Output is deterministic: fixed seeds
-in, identical bytes out.  Exit codes: 0 success, 1 domain error, 2 usage error.
+text (type and choices); a key naming no option of the subcommand, a key for
+what only the command line gives (a positional argument, or a required flag
+such as --in), or a value the option refuses, is a usage error.  Output is
+deterministic: fixed seeds in, identical bytes out.  Exit codes: 0 success,
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def _apply_config(args, parser):
     `type` and `choices` like command-line text; a string is converted by the
     type, any other JSON value must already be an integer (int options) or a
     number (float options).  A key that names no option of the subcommand,
-    or a value the option refuses, is a usage error.
+    one for a positional argument or a required flag (parsing has already
+    set those), or a value the option refuses, is a usage error.
     """
     if getattr(args, "config", None) is None:
         return args
@@ -90,11 +93,16 @@ def _apply_config(args, parser):
         parser.error(f"--config {args.config} must hold a JSON object")
     known = sorted(set(vars(args)) - {"command", "func", "config"})
     actions = {action.dest: action for action in parser._actions}
+    optional = [k for k in known if not actions[k].required]
     for key, value in table.items():
         attr = key.replace("-", "_")
         if attr not in known:
             parser.error(f"unknown --config key {key!r} for {args.command}; "
-                         f"expected one of {', '.join(known)}")
+                         f"expected one of {', '.join(optional)}")
+        if actions[attr].required:
+            flag = "/".join(actions[attr].option_strings) or attr
+            parser.error(f"--config key {key!r}: {args.command} takes {flag} "
+                         "on the command line only")
         value = _config_value(key, value, actions[attr], parser)
         if getattr(args, attr) is None:
             setattr(args, attr, value)

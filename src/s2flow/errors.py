@@ -21,6 +21,10 @@ class ParameterDomainError(S2FlowError):
     """Parameter outside its mathematical domain (e.g. dilation |a| >= 1)."""
 
 
+class PointLocationError(S2FlowError):
+    """A point lies in no face around its nearest mesh vertex."""
+
+
 class InterpolationDegenerateError(S2FlowError):
     """Interpolated vector too short to renormalize (antipodal cancellation)."""
 

@@ -67,6 +67,19 @@ def energy(u):
     return energy_and_tension(u)[0]
 
 
+def face_energies(u):
+    """Each face's share of the energy, 0.25 cot(corner) |u_i - u_j|^2 over
+    its three edges (opposite corners 0, 1, 2 in that order); the shares sum
+    to the energy."""
+    mesh = u.mesh
+    p, q, r = (np.take(u.values, mesh.faces[:, k], axis=0) for k in range(3))
+    share = np.zeros(mesh.n_faces)
+    for k, (a, b) in enumerate(((q, r), (r, p), (p, q))):   # opposite corner k
+        d = a - b
+        share += mesh.face_cotangents[:, k] * np.einsum("ij,ij->i", d, d)
+    return 0.25 * share
+
+
 def degree_estimate(u):
     """Raw degree estimate: summed signed solid angles of the image triangles
     over 4*pi (an integer up to quadrature error for a resolved map)."""

@@ -38,7 +38,7 @@ from .errors import (CertificateError, DegreeUnresolvedError,
                      EnergyMonotonicityError, ParameterDomainError,
                      SolverError, StepDegenerateError)
 from .fields import (FOUR_PI, SphereMap, degree, energy_and_tension,
-                     l2_dist_sq, l2_norm_sq, mean)
+                     face_energies, l2_dist_sq, l2_norm_sq, mean)
 from .mesh import row_norms
 
 SCHEMES = ("explicit", "semi-implicit")
@@ -234,18 +234,12 @@ def _patch_corners(mesh):
 def local_energy_profile(u):
     """Local energy in the patch around every coarse vertex.
 
-    Each fine face's share of the energy, 0.25 cot(corner) |u_i - u_j|^2
-    over its three edges, is summed into its coarse face and each coarse
-    face into the patches of its three corners, so the profile sums to 3E.
+    Each fine face's share of the energy (fields.face_energies) is summed
+    into its coarse face and each coarse face into the patches of its three
+    corners, so the profile sums to 3E.
     """
-    mesh = u.mesh
-    p, q, r = (np.take(u.values, mesh.faces[:, k], axis=0) for k in range(3))
-    share = np.zeros(mesh.n_faces)
-    for k, (a, b) in enumerate(((q, r), (r, p), (p, q))):   # opposite corner k
-        d = a - b
-        share += mesh.face_cotangents[:, k] * np.einsum("ij,ij->i", d, d)
-    corners = _patch_corners(mesh)
-    coarse = 0.25 * share.reshape(-1, len(corners)).sum(axis=0)
+    corners = _patch_corners(u.mesh)
+    coarse = face_energies(u).reshape(-1, len(corners)).sum(axis=0)
     return np.bincount(corners.ravel(), weights=np.repeat(coarse, 3))
 
 

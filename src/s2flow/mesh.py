@@ -3,14 +3,18 @@
 The mesh is the substrate for the whole lab: cotangent edge weights give the
 stiffness form (Dirichlet integrals of piecewise-linear fields), lumped
 barycentric areas give the mass weights, and central-projection barycentric
-coordinates give point location / interpolation on the curved sphere.  A
-location walks the face adjacency from a face of the mesh vertex nearest the
-point (one k-d tree per mesh).
+coordinates give point location / interpolation on the curved sphere.
+
+`TriMesh` refuses a mesh with a face angle that is not acute.  So each face
+holds its circumcentre, the Voronoi cell of a vertex lies inside the faces
+around it, and a location tests only the faces around the point's nearest
+vertex (one k-d tree per mesh); a point in none of them raises
+`PointLocationError`.
 
 Meshes are immutable once built; derived structures (stiffness matrix, face
-inverses, adjacency) are computed lazily and cached on the instance, which is
-safe because they are pure functions of the construction data; `TriMesh.memo`
-holds what other modules derive per mesh.
+inverses, vertex stars) are computed lazily and cached on the instance, which
+is safe because they are pure functions of the construction data;
+`TriMesh.memo` holds what other modules derive per mesh.
 """
 
 import math
@@ -19,7 +23,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import InterpolationDegenerateError, ResourceLimitError
+from .errors import (InterpolationDegenerateError, PointLocationError,
+                     ResourceLimitError)
 
 MAX_LEVEL = 8
 
@@ -136,6 +141,9 @@ class TriMesh:
             raise ValueError("mesh is not a closed genus-zero surface")
         if n_f != 20 * 4 ** level:
             raise ValueError(f"face count {n_f} does not match level {level}")
+        if not cots.min() > 0.0:   # point location rests on acute faces
+            raise ValueError(f"every face angle must be acute; the smallest "
+                             f"face cotangent is {cots.min():.6g}")
 
         p, q, r = (vertices[faces[:, k]] for k in range(3))
         face_areas = 0.5 * row_norms(np.cross(q - p, r - p))
@@ -154,7 +162,6 @@ class TriMesh:
         self.face_cotangents = cots.reshape(3, -1).T
         self.mean_edge_length = float(chord.mean())
         self.min_edge_length = float(chord.min())
-        self._edge_face_slot_inv = inv  # face-edge slot -> edge id, len 3F
         self._cache = {}
         for arr in (self.vertices, self.faces, self.edges, self.edge_weights,
                     self.vertex_areas, self.face_areas, self.face_cotangents):
@@ -207,24 +214,6 @@ class TriMesh:
         return np.linalg.inv(m)
 
     @cached_property
-    def _face_neighbors(self):
-        """(F,3) neighbor face across the edge opposite each local corner."""
-        n_f = self.n_faces
-        # slot k of face f covers the edge opposite local corner k (see
-        # _cotangents: slots are (1,2), (2,0), (0,1) in that order)
-        flat = self._edge_face_slot_inv
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat)
-        if counts.min() != 2 or counts.max() != 2:
-            raise ValueError("every edge must bound exactly two faces")
-        f_idx = order % n_f
-        s_idx = order // n_f
-        neigh = np.empty((n_f, 3), dtype=np.int64)
-        neigh[f_idx[0::2], s_idx[0::2]] = f_idx[1::2]
-        neigh[f_idx[1::2], s_idx[1::2]] = f_idx[0::2]
-        return neigh
-
-    @cached_property
     def vertex_tree(self):
         """k-d tree of the vertices: the nearest-vertex queries of point location."""
         # imported here: scipy.spatial adds ~7 MB to every process importing s2flow
@@ -233,12 +222,14 @@ class TriMesh:
         return cKDTree(self.vertices)
 
     @cached_property
-    def _vertex_face(self):
-        """One incident face index per vertex."""
-        vf = np.empty(self.n_vertices, dtype=np.int64)
-        for c in range(3):
-            vf[self.faces[:, c]] = np.arange(self.n_faces)
-        return vf
+    def _vertex_star(self):
+        """(V, width) faces around each vertex, `width` the largest valence;
+        the row of a vertex of smaller valence repeats its last face."""
+        flat = self.faces.ravel()
+        valence = np.bincount(flat, minlength=self.n_vertices)
+        first = np.cumsum(valence) - valence
+        col = np.minimum(np.arange(valence.max()), valence[:, None] - 1)
+        return (np.argsort(flat, kind="stable") // 3)[first[:, None] + col]
 
 
 def build_icosphere(level):
@@ -264,68 +255,32 @@ _BARY_TOL = 1e-12
 
 
 def locate_batch(mesh, points):
-    """Locate (n, 3) points by lockstep adjacency walks; returns (faces, bary).
+    """Locate (n, 3) points; returns (faces, bary).
 
-    Walks start on a face of the mesh vertex nearest each point, a few steps
-    from its own face.  They step across the edge opposite the most negative
-    coordinate and fall back to a brute-force scan for any query that fails
-    to settle.
+    Each point is tested against the faces around the mesh vertex nearest
+    it, one column of the star table at a time on the points still unsettled,
+    and settles in the first face that holds it.  A point that no face of
+    its star holds raises PointLocationError.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    face = mesh._vertex_face[mesh.vertex_tree.query(pts)[1]]
-    prev = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    star = mesh._vertex_star[mesh.vertex_tree.query(pts)[1]]
     out_face = np.empty(n, dtype=np.int64)
     out_bary = np.empty((n, 3))
-
-    inv = mesh._face_basis_inv
-    neigh = mesh._face_neighbors
-    cap = int(2.0 * math.pi / mesh.min_edge_length) + 30
-    for _ in range(cap):
-        act = np.flatnonzero(~done)
-        if act.size == 0:
-            break
-        b = np.einsum("nij,nj->ni", np.take(inv, face[act], axis=0), pts[act])
-        scale = np.abs(b).sum(axis=1)
-        inside = b.min(axis=1) >= -_BARY_TOL * scale
+    act = np.arange(n)
+    for column in star.T:
+        face = column[act]
+        b = np.einsum("nij,nj->ni", np.take(mesh._face_basis_inv, face, axis=0),
+                      pts[act])
+        inside = b.min(axis=1) >= -_BARY_TOL * np.abs(b).sum(axis=1)
         hit = act[inside]
-        out_face[hit] = face[hit]
+        out_face[hit] = face[inside]
         out_bary[hit] = b[inside]
-        done[hit] = True
-
-        mov = act[~inside]
-        if mov.size == 0:
-            continue
-        order = np.argsort(b[~inside], axis=1)
-        first = neigh[face[mov], order[:, 0]]
-        second = neigh[face[mov], order[:, 1]]
-        nxt = np.where(first == prev[mov], second, first)
-        prev[mov] = face[mov]
-        face[mov] = nxt
-
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        f_b, b_b = _locate_brute(mesh, pts[rest])
-        out_face[rest] = f_b
-        out_bary[rest] = b_b
-    return out_face, out_bary
-
-
-def _locate_brute(mesh, pts):
-    """Exhaustive scan: face maximizing the (scaled) minimum coordinate."""
-    inv = mesh._face_basis_inv
-    n = len(pts)
-    out_face = np.empty(n, dtype=np.int64)
-    out_bary = np.empty((n, 3))
-    chunk = max(1, int(2e7) // mesh.n_faces)
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
-        b = np.einsum("fij,pj->pfi", inv, pts[sl])
-        score = b.min(axis=2) / np.abs(b).sum(axis=2)
-        idx = score.argmax(axis=1)
-        out_face[sl] = idx
-        out_bary[sl] = b[np.arange(len(idx)), idx]
+        act = act[~inside]
+    if act.size:
+        raise PointLocationError(
+            f"{act.size} of {n} points lie in no face around their nearest "
+            f"vertex, the first at {pts[act[0]].tolist()}")
     return out_face, out_bary
 
 

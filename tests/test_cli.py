@@ -314,6 +314,29 @@ def test_config_usage_errors(tmp_path, capsys):
     assert "unknown --config key 'config'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, key, flag", [
+    ("energy", (), "map", "map"),
+    ("balance", (), "map", "map"),
+    ("flow", ("--in",), "inp", "--in"),
+    ("verify", ("--in",), "inp", "--in"),
+    ("generate", ("--kind", "mobius", "--out"), "out", "--out"),
+], ids=["energy", "balance", "flow", "verify", "generate"])
+def test_config_refuses_keys_only_the_command_line_gives(tmp_path, capsys,
+                                                         command, flags, key, flag):
+    # parsing has already set a positional argument or a required flag, so
+    # a config value for one could never apply
+    src = tmp_path / "start.txt"
+    run_cli(capsys, "generate", "--kind", "mobius", "--level", "2", "--out", str(src))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "does_not_exist.txt"}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, str(src), "--config", str(cfg)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert f"--config key {key!r}: {command} takes {flag} on the command line" in out.err
+    assert out.out == ""
+
+
 def test_config_values_go_through_the_option_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level": "3"}))

@@ -13,8 +13,8 @@ import s2flow.flow as flow_mod
 from s2flow.balance import balance
 from s2flow.errors import (CertificateError, EnergyMonotonicityError,
                            ParameterDomainError, StepDegenerateError)
-from s2flow.fields import (FOUR_PI, SphereMap, energy, identity_map,
-                           l2_dist_sq, l2_norm_sq, tension)
+from s2flow.fields import (FOUR_PI, SphereMap, constant_map, energy,
+                           identity_map, l2_dist_sq, l2_norm_sq, mean, tension)
 from s2flow.flow import (FlowConfig, FlowSample, FlowTrace, TRACE_HEADER,
                          default_dt, detect_concentration, flow_certificates,
                          local_energy_profile, run_flow, step, write_trace_csv)
@@ -200,9 +200,9 @@ def _patch_oracle(u):
 
 
 @pytest.mark.parametrize("level", range(5))
-def test_concentration_operator_matches_brute_force(level):
-    # the patch sum is a 0/1 operator from fine faces to coarse vertices,
-    # applied by index arithmetic; the oracle finds it geometrically
+def test_patch_sums_match_the_geometric_oracle(level):
+    # the patch sum maps fine faces to coarse vertices by index arithmetic;
+    # the oracle finds each fine face's coarse face geometrically
     mesh = build_icosphere(level)
     for u in (perturbed(mesh, eps=0.2, seed=4), identity_map(mesh),
               generate(ScenarioSpec(kind="concentrated_unbalanced", level=level,
@@ -325,7 +325,7 @@ def test_largest_ball_is_the_profile_maximum(mesh_l3, mesh_l4, concentrated,
     assert top < FOUR_PI - 1.0   # no start or step of these reaches it
 
 
-def test_concentration_monitor_and_location_share_one_tree(monkeypatch):
+def test_monitor_builds_no_tree_and_location_builds_one(monkeypatch):
     # the one k-d tree on a mesh is point location's: the monitor builds none
     import scipy.spatial
 
@@ -343,7 +343,7 @@ def test_concentration_monitor_and_location_share_one_tree(monkeypatch):
     assert built == [] and mesh._cache == {}
     pts = np.random.default_rng(0).standard_normal((50, 3))
     locate_batch(mesh, pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    assert len(built) == 1   # cold walks start from the nearest vertex
+    assert len(built) == 1   # location searches the nearest vertex's star
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
@@ -378,21 +378,35 @@ def test_steep_unbalanced_start_fails_the_energy_guard_at_once(mesh_l4):
     assert str(err.value).startswith(f"energy rose from {energy(u0):.12g} to ")
 
 
-def test_certificate_violation_raises():
-    # a hand-built trace whose claimed path length cannot cover the actual
-    # displacement must be rejected
-    import s2flow.mesh as mesh_mod
-    from s2flow.fields import constant_map, mean
-    m = mesh_mod.build_icosphere(2)
+def _antipodal_trace(overshoot):
+    """A hand-built two-sample trace from the constant map e_z to -e_z whose
+    displacement is 1 + overshoot times its claimed path length."""
+    m = build_icosphere(2)
     u0 = constant_map(m, [0.0, 0.0, 1.0])
     u1 = constant_map(m, [0.0, 0.0, -1.0])
+    plen = math.sqrt(l2_dist_sq(u1, u0)) / (1.0 + overshoot)
+
     def smp(t, u, plen):
         return FlowSample(t=t, energy=energy(u), tension_sq=0.0, mean=mean(u),
                           degree=0, max_local=0.0, path_length=plen, u=u)
-    trace = FlowTrace(samples=[smp(0.0, u0, 0.0), smp(1.0, u1, 1e-8)],
-                      status="Converged")
+    return FlowTrace(samples=[smp(0.0, u0, 0.0), smp(1.0, u1, plen)],
+                     status="Converged")
+
+
+def test_certificate_violation_raises():
+    # a hand-built trace whose claimed path length cannot cover the actual
+    # displacement must be rejected
     with pytest.raises(CertificateError):
-        flow_certificates(trace)
+        flow_certificates(_antipodal_trace(1e8))
+
+
+def test_certificate_slack_is_one_part_in_a_million():
+    # a displacement 0.5e-6 relative over the path length is within
+    # CERTIFICATE_RTOL = 1e-6, one 2e-6 over it is a violation
+    (row,) = flow_certificates(_antipodal_trace(0.5e-6))
+    assert row.mid < row.lhs
+    with pytest.raises(CertificateError):
+        flow_certificates(_antipodal_trace(2e-6))
 
 
 def test_trace_csv_format(tmp_path, mesh_l3):

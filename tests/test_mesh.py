@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import s2flow.mesh as mesh_mod
-from s2flow.errors import ResourceLimitError
+from s2flow.errors import PointLocationError, ResourceLimitError
 from s2flow.fields import FOUR_PI
-from s2flow.mesh import (TriMesh, _locate_brute, build_icosphere,
-                         interpolate_batch, locate_batch, row_norms)
+from s2flow.mesh import (TriMesh, build_icosphere, interpolate_batch,
+                         locate_batch, row_norms)
 from s2flow.mobius import eval_phi
 
 
@@ -36,7 +36,7 @@ def test_mesh_arrays_match_the_row_unique_oracle(monkeypatch, level):
     monkeypatch.setattr(mesh_mod, "_unique_edges", _row_unique)
     ref = build_icosphere(level)
     for name in ("vertices", "faces", "edges", "edge_weights", "vertex_areas",
-                 "face_areas", "face_cotangents", "_edge_face_slot_inv"):
+                 "face_areas", "face_cotangents"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
@@ -144,43 +144,66 @@ def test_locate_vertex_queries(mesh_l3):
         assert w[slot] == pytest.approx(1.0, abs=1e-9)
 
 
+def _locate_brute(mesh, pts):
+    """The location oracle, an exhaustive scan: the face maximizing the
+    (scaled) minimum barycentric coordinate."""
+    inv = mesh._face_basis_inv
+    n = len(pts)
+    out_face = np.empty(n, dtype=np.int64)
+    out_bary = np.empty((n, 3))
+    chunk = max(1, int(2e7) // mesh.n_faces)
+    for lo in range(0, n, chunk):
+        sl = slice(lo, min(lo + chunk, n))
+        b = np.einsum("fij,pj->pfi", inv, pts[sl])
+        score = b.min(axis=2) / np.abs(b).sum(axis=2)
+        idx = score.argmax(axis=1)
+        out_face[sl] = idx
+        out_bary[sl] = b[np.arange(len(idx)), idx]
+    return out_face, out_bary
+
+
 def test_locate_batch_agrees_with_brute_force(mesh_l3):
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((200, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    f_walk, b_walk = locate_batch(mesh_l3, pts)
+    f_star, b_star = locate_batch(mesh_l3, pts)
     f_brute, b_brute = _locate_brute(mesh_l3, pts)
     # either the same face or a neighboring one with the point on the seam
-    same = f_walk == f_brute
-    w = b_walk / b_walk.sum(axis=1, keepdims=True)
+    same = f_star == f_brute
+    w = b_star / b_star.sum(axis=1, keepdims=True)
     assert (same | (w.min(axis=1) < 1e-9)).all()
 
 
-def _refuse_brute(mesh, pts):
-    raise AssertionError(f"{len(pts)} walks did not settle")
-
-
 @pytest.mark.parametrize("level", [3, 4, 5])
-def test_cold_walks_settle_on_clustered_pullbacks(level, monkeypatch):
+def test_cold_walks_settle_on_clustered_pullbacks(level):
     # the vertices pulled back by strong dilations crowd into a small cap,
-    # far from most vertices' faces; every walk from the nearest vertex must
-    # settle, without the fallback, on a face holding its point: the
-    # brute-force face (checked on a sample, the scan costs ~3 ms a point at
-    # level 5)
+    # far from most vertices' faces, and random points land anywhere; every
+    # query must settle in the star of its nearest vertex (no query is left
+    # unlocated) on a face holding its point: the brute-force face (checked
+    # on a sample, the scan costs ~3 ms a point at level 5)
     mesh = build_icosphere(level)
     rng = np.random.default_rng(level)
-    queries = []
+    uniform = rng.standard_normal((2000, 3))
+    sets = [uniform / np.linalg.norm(uniform, axis=1, keepdims=True)]
     for _ in range(10):
         axis = rng.standard_normal(3)
-        pts = eval_phi(rng.uniform(0.9, 0.97) * axis / np.linalg.norm(axis),
-                       mesh.vertices)
-        some = rng.choice(len(pts), 64, replace=False)
-        queries.append((pts, some, _locate_brute(mesh, pts[some])[0]))
-    monkeypatch.setattr(mesh_mod, "_locate_brute", _refuse_brute)
-    for pts, some, ref in queries:
+        sets.append(eval_phi(rng.uniform(0.9, 0.97) * axis / np.linalg.norm(axis),
+                             mesh.vertices))
+    for pts in sets:
         face, bary = locate_batch(mesh, pts)
         assert (bary.min(axis=1) >= -1e-12 * np.abs(bary).sum(axis=1)).all()
-        assert np.array_equal(face[some], ref)
+        some = rng.choice(len(pts), 64, replace=False)
+        assert np.array_equal(face[some], _locate_brute(mesh, pts[some])[0])
+
+
+def test_a_point_outside_its_star_is_a_location_error():
+    # no scan stands behind the star: with every star replaced by one far
+    # face, vertex 0 itself is refused
+    mesh = build_icosphere(2)
+    far = int(np.argmin(mesh.vertices[mesh.faces].sum(axis=1) @ mesh.vertices[0]))
+    mesh._vertex_star = np.full((mesh.n_vertices, 6), far)
+    with pytest.raises(PointLocationError, match="1 of 1 points"):
+        locate_batch(mesh, mesh.vertices[:1])
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -262,9 +285,19 @@ def _scale_first_vertex(*factors):
     return edit
 
 
+def _slide_first_vertex(mesh):
+    # halfway along the chord to a neighbour, back on the sphere: faces
+    # around vertex 0 get an obtuse angle and stop holding their circumcentres
+    vertices = mesh.vertices.copy()
+    mid = vertices[0] + 0.5 * (vertices[mesh.edges[0, 1]] - vertices[0])
+    vertices[0] = mid / np.linalg.norm(mid)
+    return [(mesh.level, vertices, mesh.faces)]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_relabel(2), "does not match level"),                # level-1 arrays
     (_scale_first_vertex(1.5, math.nan), "unit sphere"),  # off sphere, NaN
+    (_slide_first_vertex, "acute"),
 ])
 def test_read_mesh_refuses_inconsistent_files(edit, message):
     # TriMesh checks the arrays it is given, however they were obtained

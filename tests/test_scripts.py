@@ -5,6 +5,8 @@ import json
 import math
 import pathlib
 
+import pytest
+
 from s2flow.cli import main
 from s2flow.flow import TRACE_HEADER
 
@@ -23,6 +25,14 @@ def test_calibration_table(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].split()[:2] == ["L", "verts"]
     assert [line.split()[0] for line in lines[1:]] == ["2", "3"]
+
+
+@pytest.mark.parametrize("name", ["calibration_table", "run_sweep"])
+def test_a_malformed_level_list_is_a_usage_error(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(["--levels", "4,x"])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
 
 
 def test_run_sweep(tmp_path, capsys):

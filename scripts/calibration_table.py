@@ -14,14 +14,17 @@ Example:
 import argparse
 import sys
 
-from s2flow.flow import default_dt
-from s2flow.mesh import build_icosphere
+from s2flow.flow import default_dt, tension_floor
+from s2flow.mesh import MAX_LEVEL, build_icosphere
 from s2flow.mobius import max_pullback_radius
-from s2flow.rigidity import energy_deficit, tension_floor
+from s2flow.rigidity import energy_deficit
 
 
 def level_list(text):
-    return [int(s) for s in text.split(",")]
+    levels = [int(s) for s in text.split(",")]
+    if not all(0 <= level <= MAX_LEVEL for level in levels):
+        raise argparse.ArgumentTypeError(f"levels must lie in [0, {MAX_LEVEL}]")
+    return levels
 
 
 def main(argv=None):

@@ -30,6 +30,7 @@ import pathlib  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
+from s2flow.mesh import MAX_LEVEL  # noqa: E402
 from s2flow.rigidity import constant_sweep, write_sweep_csv, write_sweep_summary  # noqa: E402
 from s2flow.scenarios import standard_family  # noqa: E402
 
@@ -39,7 +40,10 @@ def eps_list(text):
 
 
 def level_list(text):
-    return [int(s) for s in text.split(",")]
+    levels = [int(s) for s in text.split(",")]
+    if not all(0 <= level <= MAX_LEVEL for level in levels):
+        raise argparse.ArgumentTypeError(f"levels must lie in [0, {MAX_LEVEL}]")
+    return levels
 
 
 def main(argv=None):

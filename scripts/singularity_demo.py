@@ -20,9 +20,8 @@ Example:
 import argparse
 import sys
 
-from s2flow.flow import run_flow, write_trace_csv
+from s2flow.flow import FlowConfig, run_flow, write_trace_csv
 from s2flow.mesh import build_icosphere
-from s2flow.rigidity import default_flow_config
 from s2flow.scenarios import ScenarioSpec, generate
 
 
@@ -40,8 +39,7 @@ def main(argv=None):
     spec = ScenarioSpec(kind="concentrated_unbalanced", level=args.level,
                         seed=args.seed, eps=args.eps, a_norm=args.a_norm)
     u0 = generate(spec, mesh)
-    cfg = default_flow_config(mesh, record_every=args.record_every)
-    _, trace = run_flow(u0, cfg, degree=1)
+    _, trace = run_flow(u0, FlowConfig(record_every=args.record_every), degree=1)
 
     print(f"{'t':>8} {'energy':>10} {'degree':>6} {'max_local':>10} {'|mean|':>8}")
     for s in trace.samples:

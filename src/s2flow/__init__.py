@@ -15,8 +15,9 @@ from .errors import (BalanceFailedError, CertificateError, DegreeUnresolvedError
 from .fields import (FOUR_PI, SphereMap, constant_map, degree, degree_estimate,
                      dirichlet_diff, energy, face_energies, identity_map,
                      l2_dist_sq, l2_norm_sq, load_map, mean, save_map, tension)
-from .flow import (FlowConfig, FlowTrace, default_dt, detect_concentration,
-                   flow_certificates, local_energy_profile, run_flow, step,
+from .flow import (FlowConfig, FlowTrace, default_dt, default_stop_tension,
+                   detect_concentration, flow_certificates,
+                   local_energy_profile, run_flow, step, tension_floor,
                    write_trace_csv)
 from .mesh import TriMesh, build_icosphere
 from .mobius import (MobiusParams, conformal_factor, dilation_factor,
@@ -25,7 +26,7 @@ from .mobius import (MobiusParams, conformal_factor, dilation_factor,
 from .rigidity import (RigidityReport, calibrated_excess, constant_sweep,
                        default_excess_limit, default_flow_config,
                        energy_deficit, fit_mobius, fit_objective,
-                       sup_gradient, tension_floor, verify_rigidity,
+                       sup_gradient, verify_rigidity,
                        w12_identity_check, write_sweep_csv, write_sweep_summary)
 from .scenarios import ScenarioSpec, generate, standard_family
 

@@ -34,12 +34,12 @@ import numpy as np
 from .balance import balance
 from .errors import S2FlowError
 from .fields import degree, energy, l2_norm_sq, load_map, mean, save_map, tension
-from .flow import SCHEMES, FlowConfig, default_dt, run_flow, write_trace_csv
+from .flow import (SCHEMES, FlowConfig, default_dt, run_flow, tension_floor,
+                   write_trace_csv)
 from .mesh import build_icosphere
 from .mobius import MobiusParams, max_pullback_radius
-from .rigidity import (constant_sweep, default_flow_config, energy_deficit,
-                       strict_json, tension_floor, verify_rigidity,
-                       write_sweep_csv, write_sweep_summary)
+from .rigidity import (constant_sweep, energy_deficit, strict_json,
+                       verify_rigidity, write_sweep_csv, write_sweep_summary)
 from .scenarios import KINDS, ScenarioSpec, standard_family, generate
 
 _FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
@@ -115,12 +115,6 @@ def _given(args, *keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _flow_config(args, mesh):
-    """Flow configuration from flags; unset values fall back to the
-    mesh-calibrated default (stop threshold above the tension floor)."""
-    return default_flow_config(mesh, **_given(args, *_FLOW_KEYS))
-
-
 def _add_flow_flags(sub):
     sub.add_argument("--scheme", choices=SCHEMES)
     sub.add_argument("--dt", type=float)
@@ -189,8 +183,7 @@ def cmd_balance(args):
 
 def cmd_flow(args):
     u0 = load_map(args.inp)
-    cfg = _flow_config(args, u0.mesh)
-    u, trace = run_flow(u0, cfg)
+    u, trace = run_flow(u0, FlowConfig(**_given(args, *_FLOW_KEYS)))
     if args.out:
         save_map(u, args.out)
     if args.trace:
@@ -208,8 +201,8 @@ def cmd_flow(args):
 
 def cmd_verify(args):
     u = load_map(args.inp)
-    cfg = _flow_config(args, u.mesh)
-    report = verify_rigidity(u, flow_cfg=cfg, excess_limit=args.excess_limit,
+    report = verify_rigidity(u, flow_cfg=FlowConfig(**_given(args, *_FLOW_KEYS)),
+                             excess_limit=args.excess_limit,
                              **_given(args, "tol"))
     _print_json(report.to_dict(), args.out)
     return 0
@@ -221,9 +214,7 @@ def cmd_sweep(args):
     if args.eps_list is not None:
         family_kw["eps_values"] = args.eps_list
     family = standard_family(level, **family_kw)
-    cfg = None
-    if _given(args, *_FLOW_KEYS):
-        cfg = _flow_config(args, build_icosphere(level))
+    cfg = FlowConfig(**_given(args, *_FLOW_KEYS))
     rows, summary = constant_sweep(family, flow_cfg=cfg, **_given(args, "jobs"))
     if args.out:
         write_sweep_csv(rows, args.out)

@@ -259,11 +259,14 @@ def locate_batch(mesh, points):
 
     Each point is tested against the faces around the mesh vertex nearest
     it, one column of the star table at a time on the points still unsettled,
-    and settles in the first face that holds it.  A point that no face of
-    its star holds raises PointLocationError.
+    and settles in the first face that holds it: barycentric coordinates
+    nonnegative up to _BARY_TOL, with a positive sum.  A point that no face
+    of its star holds, or that is not finite, raises PointLocationError.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
+    if not np.isfinite(pts).all():
+        raise PointLocationError("cannot locate a point that is not finite")
     star = mesh._vertex_star[mesh.vertex_tree.query(pts)[1]]
     out_face = np.empty(n, dtype=np.int64)
     out_bary = np.empty((n, 3))
@@ -272,7 +275,8 @@ def locate_batch(mesh, points):
         face = column[act]
         b = np.einsum("nij,nj->ni", np.take(mesh._face_basis_inv, face, axis=0),
                       pts[act])
-        inside = b.min(axis=1) >= -_BARY_TOL * np.abs(b).sum(axis=1)
+        inside = ((b.min(axis=1) >= -_BARY_TOL * np.abs(b).sum(axis=1))
+                  & (b.sum(axis=1) > 0.0))
         hit = act[inside]
         out_face[hit] = face[inside]
         out_bary[hit] = b[inside]

@@ -12,14 +12,9 @@ Discrete calibration.  On a mesh the conformal ground energy is not exactly
 4*pi: sampling the identity already loses the area deficit of the inscribed
 polyhedron.  That per-level gap (energy_deficit) is measured once, cached on
 the mesh, and folded into the ground level, so "excess" in this module means
-E - (4*pi - energy_deficit).  Likewise the tension of the sampled identity
-sets the smallest resolvable tension; flows here stop once the tension falls
-to a small multiple of that floor, because below it the dynamics is pure
-discretization drift (the discrete energy of the conformal family decreases
-with the dilation: at the identity its second variation along a dilation
-field of unit L2 norm is -0.0114, -0.0028 and -0.0007 at levels 3, 4 and 5,
-shrinking like h^2, so an absolute threshold under the floor never triggers
-and the map eventually slides to concentration and collapses to a constant).
+E - (4*pi - energy_deficit).  The flow's stop is calibrated likewise, on
+the tension of the sampled identity (flow.tension_floor): a flow given no
+stop threshold stops above that floor, on the conformal plateau.
 
 The flow limit is also compared with its nearest conformal map (fit_mobius):
 a Levenberg-Marquardt least-squares fit of the gradient-weighted misfit over
@@ -42,8 +37,9 @@ from .balance import BALANCE_TOL, balance
 from .errors import (FitFailedError, ParameterDomainError, PreconditionError,
                      S2FlowError, VacuousRegimeError)
 from .fields import (FOUR_PI, degree, dirichlet_diff, energy, face_energies,
-                     identity_map, l2_dist_sq, l2_norm_sq, mean, tension)
-from .flow import FlowConfig, run_flow
+                     identity_map, l2_dist_sq, mean)
+from .flow import (FlowConfig, default_stop_tension, run_flow,
+                   tension_floor)  # noqa: F401  (perfbench's setup calls it here)
 from .mesh import build_icosphere
 from .mobius import (MobiusParams, conformal_factor, conformal_factor_jet,
                      dilation_chart, eval_phi_jet, params_to_line, quat_from_matrix,
@@ -53,13 +49,6 @@ from .scenarios import generate
 # Rows whose excess is at most this multiple of the mesh calibration gap are
 # near 0/0: their distance/excess ratio is flagged instead of trusted.
 DEGENERATE_FACTOR = 10.0
-# Flows stop at this multiple of the identity-sample tension (see module doc).
-# The stop moves ratio_max at first order, but a case's fitted-map ratio by
-# under 1e-5 between factors 2 and 4.  A larger factor takes fewer advances
-# (967 / 836 / 747 over the level-5 standard family at 2 / 3 / 4), but at 4
-# one perturbed start's flow ratio moves 17% from level 4 to level 5, past
-# the 15% that test_verify_self_convergence allows.
-STOP_FLOOR_FACTOR = 3.0
 # Deliberately conservative excess/tension^2 bound used for the working
 # small-excess threshold; the standard families measure about 0.126, 8x
 # smaller, near the linearised supremum 1/8 at the identity.
@@ -82,21 +71,14 @@ def energy_deficit(mesh):
                      lambda: FOUR_PI - energy(identity_map(mesh)))
 
 
-def tension_floor(mesh):
-    """L2 tension of the sampled identity: the smallest resolvable tension."""
-    return mesh.memo("tension_floor",
-                     lambda: math.sqrt(l2_norm_sq(tension(identity_map(mesh)), mesh)))
-
-
 def calibrated_excess(u):
     """Energy above the calibrated ground level 4*pi - energy_deficit."""
     return energy(u) - (FOUR_PI - energy_deficit(u.mesh))
 
 
 def default_flow_config(mesh, **overrides):
-    """Flow configuration whose stop threshold sits above the tension floor."""
-    overrides.setdefault(
-        "stop_tension", max(1e-4, STOP_FLOOR_FACTOR * tension_floor(mesh)))
+    """FlowConfig with the stop threshold run_flow would calibrate spelled out."""
+    overrides.setdefault("stop_tension", default_stop_tension(mesh))
     return FlowConfig(**overrides)
 
 
@@ -298,8 +280,6 @@ def verify_rigidity(u, flow_cfg=None, tol=BALANCE_TOL, excess_limit=None):
     t_balance = time.perf_counter()
     bal = balance(u, tol=tol)
     u0 = bal.balanced
-    if flow_cfg is None:
-        flow_cfg = default_flow_config(mesh)
     t_flow = time.perf_counter()
     v, trace = run_flow(u0, flow_cfg, degree=1)
     t_flow_end = time.perf_counter()

@@ -4,6 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import s2flow.cli as cli
+import s2flow.rigidity as rigidity
 from s2flow.cli import _build_parser, main
 from s2flow.fields import energy, load_map
 from s2flow.flow import TRACE_HEADER, FlowConfig
@@ -184,6 +186,23 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
         assert last_json(out)["n_cases"] == 2
         blobs.append((csv.read_bytes(), summ.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_sweep_flow_flags_build_no_mesh_of_their_own(monkeypatch, capsys):
+    # a flow flag configures the flow without a mesh: the sweep builds its
+    # level's mesh once, for the cases
+    built = []
+
+    def counted(level):
+        built.append(level)
+        return build_icosphere(level)
+
+    monkeypatch.setattr(cli, "build_icosphere", counted)
+    monkeypatch.setattr(rigidity, "build_icosphere", counted)
+    rc, out, _ = run_cli(capsys, "sweep", "--level", "2", "--seeds-per-eps", "1",
+                         "--record-every", "5")
+    assert rc == 0 and last_json(out)["n_cases"] == 4
+    assert built == [2]
 
 
 def test_sweep_summary_is_strict_json(tmp_path, capsys):

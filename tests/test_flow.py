@@ -154,6 +154,27 @@ def test_stop_threshold_sits_above_mesh_floor(mesh_l4):
     assert cfg.stop_tension >= 1e-4
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_an_unset_stop_threshold_is_the_calibrated_one(request, level):
+    # like dt, an unset stop_tension is calibrated on the mesh: a bare
+    # FlowConfig runs as default_flow_config does, bit for bit, where an
+    # absolute 1e-4 under the floor would slide along the family
+    mesh = request.getfixturevalue(f"mesh_l{level}")
+    assert FlowConfig().stop_tension is None
+    u0 = perturbed(mesh, eps=0.1, seed=level)
+    v, trace = run_flow(u0, FlowConfig())
+    w, ref = run_flow(u0, default_flow_config(mesh))
+    assert (trace.status, trace.steps, trace.dt) == ("Converged", ref.steps, ref.dt)
+    assert ref.status == "Converged"
+    assert len(trace.samples) == len(ref.samples)
+    for a, b in zip(trace.samples, ref.samples):
+        assert (a.t, a.energy, a.tension_sq, a.degree, a.max_local, a.path_length) == (
+            b.t, b.energy, b.tension_sq, b.degree, b.max_local, b.path_length)
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.u.values, b.u.values)
+    assert np.array_equal(v.values, w.values)
+
+
 def test_concentrated_start_is_detected_as_singular(mesh_l4):
     spec = ScenarioSpec(kind="concentrated_unbalanced", level=4, seed=1,
                         eps=0.05, a_norm=0.95)

@@ -206,6 +206,18 @@ def test_a_point_outside_its_star_is_a_location_error():
         locate_batch(mesh, mesh.vertices[:1])
 
 
+@pytest.mark.parametrize("point", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0],
+                                   [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0]])
+def test_the_origin_and_non_finite_points_are_location_errors(point):
+    # the origin's barycentric coordinates are all zero, which once passed
+    # the tolerance test and interpolated to NaN
+    mesh = build_icosphere(1)
+    with pytest.raises(PointLocationError):
+        locate_batch(mesh, np.array([point]))
+    with pytest.raises(PointLocationError):
+        interpolate_batch(mesh, mesh.vertices, np.array([mesh.vertices[0], point]))
+
+
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_cold_location_of_vertices(level):
     # vertices lie on face boundaries: any incident face is a valid answer

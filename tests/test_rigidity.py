@@ -15,7 +15,7 @@ from s2flow.errors import (FitFailedError, ParameterDomainError,
                            PreconditionError, VacuousRegimeError)
 from s2flow.balance import balance
 from s2flow.fields import SphereMap, constant_map, degree, energy, identity_map
-from s2flow.flow import run_flow
+from s2flow.flow import STOP_FLOOR_FACTOR, run_flow
 from s2flow.mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
                            eval_mobius, pullback, sample)
 from s2flow.rigidity import (SWEEP_HEADER, calibrated_excess, constant_sweep,
@@ -87,7 +87,7 @@ def test_tension_floor_positive_and_refining(mesh_l4, mesh_l5):
 
 def test_default_flow_config_sits_on_floor(mesh_l4):
     cfg = default_flow_config(mesh_l4)
-    assert cfg.stop_tension == max(1e-4, rigidity.STOP_FLOOR_FACTOR * tension_floor(mesh_l4))
+    assert cfg.stop_tension == max(1e-4, STOP_FLOOR_FACTOR * tension_floor(mesh_l4))
     assert default_flow_config(mesh_l4, stop_tension=0.5).stop_tension == 0.5
     assert default_flow_config(mesh_l4, scheme="explicit").scheme == "explicit"
 

@@ -29,10 +29,13 @@ def test_calibration_table(capsys):
 
 @pytest.mark.parametrize("name", ["calibration_table", "run_sweep"])
 def test_a_malformed_level_list_is_a_usage_error(capsys, name):
-    with pytest.raises(SystemExit) as exc:
-        load_script(name).main(["--levels", "4,x"])
-    assert exc.value.code == 2
-    assert "--levels" in capsys.readouterr().err
+    # a level outside [0, mesh.MAX_LEVEL] is as malformed as one that is no
+    # integer
+    for levels in ("4,x", "9", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            load_script(name).main(["--levels", levels])
+        assert exc.value.code == 2
+        assert "--levels" in capsys.readouterr().err
 
 
 def test_run_sweep(tmp_path, capsys):

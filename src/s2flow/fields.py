@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeUnresolvedError, FileFormatError
+from .errors import DegreeUnresolvedError, FileFormatError, ParameterDomainError
 from .mesh import MAX_LEVEL, TriMesh, build_icosphere, row_norms
 
 FOUR_PI = 4.0 * math.pi
@@ -40,8 +40,13 @@ def identity_map(mesh):
 
 
 def constant_map(mesh, c):
+    """The map sending every vertex to the direction of c."""
     c = np.asarray(c, dtype=float)
-    c = c / np.linalg.norm(c)
+    norm = np.linalg.norm(c)
+    if not 0.0 < norm < math.inf:   # refuses NaN too
+        raise ParameterDomainError(
+            f"constant_map needs a nonzero finite direction, got {c.tolist()}")
+    c = c / norm
     return SphereMap(mesh, np.tile(c, (mesh.n_vertices, 1)))
 
 
@@ -70,30 +75,39 @@ def energy(u):
 def face_energies(u):
     """Each face's share of the energy, 0.25 cot(corner) |u_i - u_j|^2 over
     its three edges (opposite corners 0, 1, 2 in that order); the shares sum
-    to the energy."""
+    to the energy.  Each edge's |u_i - u_j|^2 is computed once and gathered
+    per face through mesh.face_edges."""
     mesh = u.mesh
-    p, q, r = (np.take(u.values, mesh.faces[:, k], axis=0) for k in range(3))
+    d = np.take(u.values, mesh.edges[:, 0], axis=0) \
+        - np.take(u.values, mesh.edges[:, 1], axis=0)
+    sq = np.einsum("ij,ij->i", d, d)
     share = np.zeros(mesh.n_faces)
-    for k, (a, b) in enumerate(((q, r), (r, p), (p, q))):   # opposite corner k
-        d = a - b
-        share += mesh.face_cotangents[:, k] * np.einsum("ij,ij->i", d, d)
+    for k in range(3):   # opposite corner k
+        share += mesh.face_cotangents[:, k] * np.take(sq, mesh.face_edges[:, k])
     return 0.25 * share
+
+
+def _dot(a, b):
+    """Row-wise dot product of two component-major (3, n) stacks, adding the
+    components 0, 1, 2 left to right."""
+    s = a[0] * b[0]
+    s += a[1] * b[1]
+    s += a[2] * b[2]
+    return s
 
 
 def degree_estimate(u):
     """Raw degree estimate: summed signed solid angles of the image triangles
-    over 4*pi (an integer up to quadrature error for a resolved map)."""
-    tri = np.take(u.values, u.mesh.faces, axis=0)
-    p, q, r = tri[:, 0], tri[:, 1], tri[:, 2]
-    # q x r component by component, as np.cross computes it, without its copies
-    qxr = np.empty(p.shape)
-    for c in range(3):
-        i, j = (c + 1) % 3, (c + 2) % 3
-        np.multiply(q[:, i], r[:, j], out=qxr[:, c])
-        qxr[:, c] -= q[:, j] * r[:, i]
-    num = np.einsum("ij,ij->i", p, qxr)
-    den = 1.0 + np.einsum("ij,ij->i", p, q) + np.einsum("ij,ij->i", q, r) \
-        + np.einsum("ij,ij->i", r, p)
+    over 4*pi (an integer up to quadrature error for a resolved map).
+
+    The triangles are gathered component-major, (component, corner, face),
+    so every product and sum runs over contiguous rows of length F."""
+    p, q, r = np.take(u.values.T, u.mesh.faces.T, axis=1).swapaxes(0, 1)
+    # q x r component by component, as np.cross computes it
+    qxr = (q[1] * r[2] - q[2] * r[1], q[2] * r[0] - q[0] * r[2],
+           q[0] * r[1] - q[1] * r[0])
+    num = _dot(p, qxr)
+    den = 1.0 + _dot(p, q) + _dot(q, r) + _dot(r, p)
     return float(np.arctan2(num, den).sum() / (2.0 * math.pi))
 
 

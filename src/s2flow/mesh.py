@@ -119,6 +119,8 @@ class TriMesh:
         edges: (E, 2) sorted vertex index pairs.
         edge_weights: (E,) cotangent weights 0.5*(cot alpha + cot beta).
         face_cotangents: (F, 3) cotangent of the angle at each local corner.
+        face_edges: (F, 3) index into `edges` of the edge opposite each
+            local corner (the one joining the other two corners).
         vertex_areas: (V,) lumped barycentric areas (one third of incident
             flat-triangle areas); their sum is the polyhedron area.
         mean_edge_length / min_edge_length: chord-length summaries used as
@@ -160,11 +162,13 @@ class TriMesh:
         self.vertex_areas = areas
         self.face_areas = face_areas
         self.face_cotangents = cots.reshape(3, -1).T
+        self.face_edges = inv.reshape(3, -1).T
         self.mean_edge_length = float(chord.mean())
         self.min_edge_length = float(chord.min())
         self._cache = {}
         for arr in (self.vertices, self.faces, self.edges, self.edge_weights,
-                    self.vertex_areas, self.face_areas, self.face_cotangents):
+                    self.vertex_areas, self.face_areas, self.face_cotangents,
+                    self.face_edges):
             arr.setflags(write=False)
 
     # --- basic counts -----------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import s2flow.fields as fields_mod
-from s2flow.errors import DegreeUnresolvedError, FileFormatError
+from s2flow.errors import DegreeUnresolvedError, FileFormatError, ParameterDomainError
 from s2flow.fields import (FOUR_PI, SphereMap, constant_map,
                            degree, degree_estimate, dirichlet_diff, energy,
-                           identity_map, l2_dist_sq, l2_norm_sq, load_map,
-                           mean, save_map, tension)
+                           face_energies, identity_map, l2_dist_sq, l2_norm_sq,
+                           load_map, mean, save_map, tension)
 from s2flow.flow import detect_concentration
 from s2flow.mesh import build_icosphere
 from s2flow.mobius import MobiusParams, eval_mobius, sample
@@ -30,6 +30,13 @@ def test_constant_map_energy_and_degree(mesh_l3):
     u = constant_map(mesh_l3, [0.0, 0.0, 1.0])
     assert abs(energy(u)) < 1e-12  # zero up to stiffness-sum rounding
     assert degree(u) == 0
+
+
+@pytest.mark.parametrize("c", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0],
+                               [0.0, math.inf, 0.0]], ids=["zero", "nan", "inf"])
+def test_constant_map_refuses_a_zero_or_non_finite_direction(mesh_l2, c):
+    with pytest.raises(ParameterDomainError, match="nonzero finite direction"):
+        constant_map(mesh_l2, c)
 
 
 def test_energy_rotation_invariance(mesh_l4):
@@ -183,12 +190,30 @@ def test_domain_rotation_keeps_energy_tension_and_degree(mesh_l3, rot_quat, quat
 
 
 def _degree_estimate_oracle(u):
+    """Fancy indexing and np.cross, with each dot product's components added
+    0, 1, 2 left to right as degree_estimate adds them."""
     tri = u.values[u.mesh.faces]
     p, q, r = tri[:, 0], tri[:, 1], tri[:, 2]
-    num = np.einsum("ij,ij->i", p, np.cross(q, r))
-    den = 1.0 + np.einsum("ij,ij->i", p, q) + np.einsum("ij,ij->i", q, r) \
-        + np.einsum("ij,ij->i", r, p)
+
+    def dot(a, b):
+        ab = a * b
+        return ab[:, 0] + ab[:, 1] + ab[:, 2]
+
+    num = dot(p, np.cross(q, r))
+    den = 1.0 + dot(p, q) + dot(q, r) + dot(r, p)
     return float(np.arctan2(num, den).sum() / (2.0 * math.pi))
+
+
+def _face_energies_oracle(u):
+    """Each face's edges differenced from its own corners, one corner at a
+    time (the per-face form face_energies replaced)."""
+    mesh = u.mesh
+    p, q, r = (np.take(u.values, mesh.faces[:, k], axis=0) for k in range(3))
+    share = np.zeros(mesh.n_faces)
+    for k, (a, b) in enumerate(((q, r), (r, p), (p, q))):   # opposite corner k
+        d = a - b
+        share += mesh.face_cotangents[:, k] * np.einsum("ij,ij->i", d, d)
+    return 0.25 * share
 
 
 @given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
@@ -196,8 +221,9 @@ def _degree_estimate_oracle(u):
        st.floats(0.0, 0.5), st.integers(0, 10**6))
 def test_gather_kernels_bitwise_match_fancy_index_oracles(mesh_l3, quat, direction,
                                                           rho, eps, seed):
-    # degree_estimate's np.take gathers and component-wise cross product do
-    # the same arithmetic as fancy indexing and np.cross, so every bit agrees
+    # degree_estimate's component-major gather and written-out cross product
+    # do the same arithmetic as fancy indexing and np.cross, so every bit
+    # agrees
     assume(np.linalg.norm(quat) > 0.1)
     direction = np.array(direction)
     norm = np.linalg.norm(direction)
@@ -205,6 +231,32 @@ def test_gather_kernels_bitwise_match_fancy_index_oracles(mesh_l3, quat, directi
     u = generate(ScenarioSpec(kind="perturbed_mobius", level=3, seed=seed, eps=eps,
                               mobius=MobiusParams(np.array(quat), a)), mesh_l3)
     assert degree_estimate(u) == _degree_estimate_oracle(u)
+
+
+@given(st.sampled_from([3, 4]),
+       st.sampled_from(["perturbed_mobius", "concentrated_unbalanced", "rational_k"]),
+       st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+       st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.floats(0.0, 0.6),
+       st.floats(0.0, 0.5), st.floats(0.9, 0.99), st.integers(0, 10**6))
+def test_face_energies_bitwise_match_the_per_face_oracle(
+        mesh_l3, mesh_l4, level, kind, k, quat, direction, rho, eps, a_norm, seed):
+    # |u_i - u_j|^2 is the same float from either end of an edge, so
+    # squaring each edge once and gathering it per face changes no bit
+    assume(np.linalg.norm(quat) > 0.1)
+    mesh = mesh_l3 if level == 3 else mesh_l4
+    if kind == "rational_k":
+        spec = ScenarioSpec(kind=kind, level=level, k=k)
+    elif kind == "concentrated_unbalanced":
+        spec = ScenarioSpec(kind=kind, level=level, seed=seed, eps=eps, a_norm=a_norm)
+    else:
+        direction = np.array(direction)
+        norm = np.linalg.norm(direction)
+        a = rho * direction / norm if norm > 0.1 else np.zeros(3)
+        spec = ScenarioSpec(kind=kind, level=level, seed=seed, eps=eps,
+                            mobius=MobiusParams(np.array(quat), a))
+    u = generate(spec, mesh)
+    assert face_energies(u).tobytes() == _face_energies_oracle(u).tobytes()
 
 
 def test_degree_identity_antipodal(mesh_l3):

@@ -192,6 +192,45 @@ def test_concentrated_start_is_detected_as_singular(mesh_l4):
     assert every.status == "SingularityDetected" and every.steps == 1
 
 
+@pytest.mark.parametrize("concentrated", [True, False])
+def test_run_flow_calls_each_monitor_through_the_module_once_per_record(
+        mesh_l4, monkeypatch, concentrated):
+    # perfbench traces the monitors by these module globals, so run_flow
+    # must call them there: mean and detect_concentration once per sample,
+    # degree once per sample and once per drop check, never twice on one map
+    if concentrated:
+        u0 = generate(ScenarioSpec(kind="concentrated_unbalanced", level=4, seed=1,
+                                   eps=0.05, a_norm=0.95), mesh_l4)
+    else:
+        u0 = perturbed(mesh_l4, eps=0.1, seed=0)
+    calls = {"degree": [], "detect_concentration": [], "mean": []}
+    for name, seen in calls.items():
+        def spy(u, *args, _real=getattr(flow_mod, name), _seen=seen):
+            _seen.append(u)
+            return _real(u, *args)
+        monkeypatch.setattr(flow_mod, name, spy)
+    states = []
+
+    def spy_state(u, _real=flow_mod._State):
+        state = _real(u)
+        states.append((u, state.energy))
+        return state
+    monkeypatch.setattr(flow_mod, "_State", spy_state)
+    _, trace = run_flow(u0, default_flow_config(mesh_l4))
+    assert trace.dt_halvings == 0   # so each state after the first is a step
+    recorded = [s.u for s in trace.samples]
+    assert [id(u) for u in calls["detect_concentration"]] == [id(u) for u in recorded]
+    assert [id(u) for u in calls["mean"]] == [id(u) for u in recorded]
+    dropped = [v for (_, e), (v, f) in zip(states, states[1:])
+               if e - f > flow_mod.COLLAPSE_DROP]
+    assert len(dropped) == (1 if concentrated else 0)
+    checked = [id(u) for u in calls["degree"]]
+    assert len(set(checked)) == len(checked)
+    assert set(checked) == {id(u) for u in recorded + dropped}
+    # the smooth run records steps 0, 10, 20 and 23
+    assert len(trace.samples) == (2 if concentrated else 4)
+
+
 def _coarse_mesh(mesh):
     return build_icosphere(max(mesh.level - flow_mod.PATCH_COARSENING, 0))
 

@@ -36,7 +36,7 @@ def test_mesh_arrays_match_the_row_unique_oracle(monkeypatch, level):
     monkeypatch.setattr(mesh_mod, "_unique_edges", _row_unique)
     ref = build_icosphere(level)
     for name in ("vertices", "faces", "edges", "edge_weights", "vertex_areas",
-                 "face_areas", "face_cotangents"):
+                 "face_areas", "face_cotangents", "face_edges"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
@@ -67,6 +67,20 @@ def test_face_cotangents_sum_to_edge_weights(mesh_l3):
         weights[i, j] = weights.get((i, j), 0.0) + 0.5 * c
     expected = [weights[i, j] for i, j in mesh_l3.edges.tolist()]
     assert np.allclose(expected, mesh_l3.edge_weights, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_face_edges_join_the_corners_opposite_each_corner(level):
+    mesh = build_icosphere(level)
+    fe = mesh.face_edges
+    assert fe.shape == (mesh.n_faces, 3) and not fe.flags.writeable
+    # column k of a face is the edge between its corners k + 1 and k + 2
+    for k in range(3):
+        ends = np.sort(mesh.faces[:, [(k + 1) % 3, (k + 2) % 3]], axis=1)
+        assert np.array_equal(mesh.edges[fe[:, k]], ends)
+    # each edge borders exactly two faces
+    assert np.array_equal(np.bincount(fe.ravel(), minlength=mesh.n_edges),
+                          np.full(mesh.n_edges, 2))
 
 
 def test_area_deficit_values_and_rate():

@@ -398,11 +398,10 @@ TRACE_HEADER = "t,energy,tension_sq,mx,my,mz,degree,max_local"
 
 
 def write_trace_csv(trace, path):
+    """TRACE_HEADER, then a line per sample, every cell %.17g (no degree: nan)."""
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for s in trace.samples:
-            deg = "nan" if s.degree is None else str(s.degree)
-            fh.write(",".join([
-                f"{s.t:.17g}", f"{s.energy:.17g}", f"{s.tension_sq:.17g}",
-                f"{s.mean[0]:.17g}", f"{s.mean[1]:.17g}", f"{s.mean[2]:.17g}",
-                deg, f"{s.max_local:.17g}"]) + "\n")
+            deg = math.nan if s.degree is None else s.degree
+            cells = (s.t, s.energy, s.tension_sq, *s.mean, deg, s.max_local)
+            fh.write(",".join("%.17g" % x for x in cells) + "\n")

@@ -12,6 +12,7 @@ Balancing's prediction and the conformal fit both weight by the stretch
 chart of the ball (dilation_chart).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,26 +178,18 @@ def dilation_chart(b):
 def solve_over_dilation(point, **options):
     """Levenberg-Marquardt over the dilation chart from b = 0: (result, state).
 
-    point(b) gives (state, residual, jacobian in b), cached on the last two b
-    so the Jacobian calls, the closing one after a rejected trial included,
-    reuse the residual call's work; `options` go to least_squares.
+    point(b) gives (state, residual, jacobian in b).  A two-entry
+    functools.lru_cache on b's bytes lets the Jacobian calls, the closing one
+    after a rejected trial included, reuse the residual call's work;
+    `options` go to least_squares.
     """
     # imported here: scipy.optimize adds ~16 MB to every process importing s2flow
     from scipy.optimize import least_squares
 
-    last = {}
-
-    def cached(b):
-        key = b.tobytes()
-        if key not in last:
-            if len(last) == 2:
-                del last[next(iter(last))]  # the older of the two
-            last[key] = point(b)
-        return last[key]
-
-    res = least_squares(lambda b: cached(b)[1], np.zeros(3), method="lm",
-                        jac=lambda b: cached(b)[2], **options)
-    return res, cached(res.x)[0]
+    cached = functools.lru_cache(maxsize=2)(lambda key: point(np.frombuffer(key)))
+    res = least_squares(lambda b: cached(b.tobytes())[1], np.zeros(3), method="lm",
+                        jac=lambda b: cached(b.tobytes())[2], **options)
+    return res, cached(res.x.tobytes())[0]
 
 
 def sample(params, mesh):

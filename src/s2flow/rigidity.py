@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -232,14 +233,13 @@ class RigidityReport:
     energy_deficit: float
     excess_input: float           # calibrated excess before balancing
     balanced: object              # the balanced start u0
-    limit: object                 # the flow limit v
     trace: object
     stage_s: dict                 # wall seconds in "balance", "flow" and "fit"
 
     def to_dict(self):
         """Every field but the maps and the trace, plus the trace's counts."""
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("balanced", "limit", "trace")}
+             if f.name not in ("balanced", "trace")}
         d["balance_a"] = [float(c) for c in self.balance_a]
         d["fitted_params"] = params_to_line(self.fitted_params)
         d["flow_degree_monitored"] = self.trace.degree_monitored
@@ -311,7 +311,7 @@ def verify_rigidity(u, flow_cfg=None, tol=BALANCE_TOL, excess_limit=None):
         decomposition_residual=decomposition.relative_gap,
         mean_v_norm=float(np.linalg.norm(mean(v))), sup_dv=sup_gradient(v),
         degenerate=degenerate, energy_deficit=deficit,
-        excess_input=excess_input, balanced=u0, limit=v, trace=trace,
+        excess_input=excess_input, balanced=u0, trace=trace,
         stage_s=stage_s)
 
 
@@ -358,12 +358,9 @@ def run_case(spec, mesh, flow_cfg=None):
                         status=type(err).__name__)
     ax, ay, az = (float(c) for c in rep.balance_a)
     return SweepRow(case_id=_case_id(spec), level=spec.level, eps=spec.eps,
-                    excess=rep.excess, seminorm_dist=rep.seminorm_dist,
-                    l2_dist_sq=rep.l2_dist_sq, ratio=rep.ratio,
-                    excess_tension_ratio=rep.excess_tension_ratio,
-                    ax=ax, ay=ay, az=az, mean_v_norm=rep.mean_v_norm,
-                    status=rep.flow_status, degenerate=rep.degenerate,
-                    sup_dv=rep.sup_dv, fit_seminorm_dist=rep.fit_seminorm_dist)
+                    status=rep.flow_status, ax=ax, ay=ay, az=az,
+                    **{f.name: getattr(rep, f.name) for f in fields(SweepRow)
+                       if hasattr(rep, f.name)})
 
 
 def summarize_sweep(rows):
@@ -382,9 +379,6 @@ def summarize_sweep(rows):
     converged = [r for r in rows if r.status == "Converged"]
     positive = [r for r in converged if r.excess > 0.0]
     strict = [r for r in positive if not r.degenerate]
-    statuses = {}
-    for r in rows:
-        statuses[r.status] = statuses.get(r.status, 0) + 1
 
     def safe_max(values):
         values = [v for v in values if not math.isnan(v)]
@@ -406,7 +400,7 @@ def summarize_sweep(rows):
         "ratio_max": safe_max([r.seminorm_dist / r.excess for r in positive]),
         "ratio_max_strict": safe_max(
             [r.seminorm_dist / r.excess for r in strict]),
-        "statuses": statuses,
+        "statuses": dict(Counter(r.status for r in rows)),
         "sup_dv_max": safe_max([r.sup_dv for r in converged]),
     }
 

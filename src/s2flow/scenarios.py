@@ -14,7 +14,7 @@ Same spec in, bit-identical map out.
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,17 @@ def _check_level_and_seed(level, seed):
         raise ParameterDomainError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
     if seed < 0:
         raise ParameterDomainError(f"seed must be non-negative, got {seed}")
+
+
+def _check_keys(d, what, known, required):
+    """Refuse a non-object, a key outside `known`, or a missing `required` key."""
+    if not isinstance(d, dict):
+        raise ParameterDomainError(f"{what} must be a JSON object, got {type(d).__name__}")
+    for problem, keys in (("unknown", set(d) - set(known)),
+                          ("missing", set(required) - set(d))):
+        if keys:
+            raise ParameterDomainError(
+                f"{what}: {problem} key {', '.join(map(repr, sorted(keys)))}")
 
 
 def _is_number(value):
@@ -86,27 +97,24 @@ class ScenarioSpec:
                                            f"in [0.9, 0.99], got {self.a_norm!r}")
 
     def to_json(self):
-        d = {"kind": self.kind, "level": self.level, "seed": self.seed,
-             "eps": self.eps}
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if getattr(self, f.name) is not None}
         if self.mobius is not None:
             d["mobius"] = {"quat": list(self.mobius.quat), "a": list(self.mobius.a)}
-        if self.k is not None:
-            d["k"] = self.k
-        if self.a_norm is not None:
-            d["a_norm"] = self.a_norm
         return json.dumps(d, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
+        """The spec of a to_json text; refuses keys that are not the spec's fields."""
         d = json.loads(text)
+        _check_keys(d, "scenario spec", [f.name for f in fields(cls)],
+                    [f.name for f in fields(cls) if f.default is MISSING])
         mob = d.get("mobius")
-        params = None
         if mob is not None:
-            params = MobiusParams(np.asarray(mob["quat"], dtype=float),
-                                  np.asarray(mob["a"], dtype=float))
-        return cls(kind=d["kind"], level=d["level"], seed=d.get("seed", 0),
-                   mobius=params, k=d.get("k"), eps=d.get("eps", 0.0),
-                   a_norm=d.get("a_norm"))
+            _check_keys(mob, "mobius", ("quat", "a"), ("quat", "a"))
+            d["mobius"] = MobiusParams(np.asarray(mob["quat"], dtype=float),
+                                       np.asarray(mob["a"], dtype=float))
+        return cls(**d)
 
 
 def _rational_k(mesh, k):

@@ -6,6 +6,7 @@ import pytest
 
 import s2flow.cli as cli
 import s2flow.rigidity as rigidity
+from s2flow.balance import BALANCE_TOL
 from s2flow.cli import _build_parser, main
 from s2flow.fields import energy, load_map
 from s2flow.flow import TRACE_HEADER, FlowConfig
@@ -271,6 +272,29 @@ def test_balance_tolerance_outside_its_domain_is_exit_one(tmp_path, capsys, cmd,
     assert rc == 1
     assert err.startswith("error:") and "tol" in err
     assert out == ""
+
+
+def test_balance_of_a_strong_dilation(tmp_path, capsys):
+    # the CI step: the undamped Newton step from a = 0 leaves the unit ball,
+    # the chart keeps the prediction inside it (measured a_z = -0.5999613897)
+    src = tmp_path / "dil.txt"
+    rc, _, _ = run_cli(capsys, "generate", "--kind", "mobius", "--a", "0,0,0.6",
+                       "--level", "4", "--out", str(src))
+    assert rc == 0
+    rc, out, _ = run_cli(capsys, "balance", str(src))
+    assert rc == 0
+    report = last_json(out)
+    assert report["iterations"] == 2
+    assert abs(report["a_star"][2] + 0.59996) < 1e-5
+    assert report["residual"] <= BALANCE_TOL
+
+
+def test_a_vector_of_the_wrong_length_is_exit_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "mobius", "--a", "0,0", "--level", "2",
+              "--out", str(tmp_path / "map.txt")])
+    assert exc.value.code == 2
+    assert "expected 3 comma-separated numbers" in capsys.readouterr().err
 
 
 def test_empty_sweep_family_is_exit_one(tmp_path, capsys):

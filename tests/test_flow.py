@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -131,6 +132,18 @@ def test_run_flow_converges_and_certificates_hold(mesh_l4, scheme):
     assert all(r.lhs <= r.mid * (1 + 1e-6) + 1e-13 for r in certs)
     assert trace.samples[0].u is u0
     assert math.sqrt(l2_dist_sq(v, trace.samples[-1].u)) == 0.0
+
+
+def test_run_flow_stops_at_the_horizon(mesh_l3):
+    # dt = 0.5 h is 0.075 at level 3, so the second step passes t_max = 0.1
+    # (measured: t = 0.15073) long before the tension falls to the stop
+    v, trace = run_flow(perturbed(mesh_l3, eps=0.1, seed=0), FlowConfig(t_max=0.1))
+    assert trace.status == "MaxTimeReached"
+    assert trace.steps == 2
+    last = trace.samples[-1]
+    assert 0.1 - 1e-12 <= last.t < 0.1 + trace.dt
+    assert last.u is v
+    assert len(flow_certificates(trace)) == len(trace.samples) - 1
 
 
 def test_mobius_sample_is_discrete_equilibrium(mesh_l4):
@@ -482,6 +495,21 @@ def test_trace_csv_format(tmp_path, mesh_l3):
     assert len(first) == len(TRACE_HEADER.split(","))
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(trace.samples[0].energy, rel=1e-15)
+
+
+def test_trace_csv_writes_every_cell_as_17g_and_no_degree_as_nan(tmp_path):
+    trace = _antipodal_trace(0.0)
+    trace.samples[0] = dataclasses.replace(trace.samples[0], t=1.0 / 3.0, degree=None)
+    out = tmp_path / "trace.csv"
+    write_trace_csv(trace, out)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(trace.samples)
+    for smp, row in zip(trace.samples, rows):
+        deg = "nan" if smp.degree is None else "%d" % smp.degree
+        assert row == ["%.17g" % x for x in (smp.t, smp.energy, smp.tension_sq,
+                                              *smp.mean)] + [deg, "%.17g" % smp.max_local]
+    assert rows[0][0] == "0.33333333333333331" and rows[0][6] == "nan"
+    assert rows[1][6] == "0"
 
 
 # --- the nested-dissection ordered solver ---------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from s2flow.fields import SphereMap, constant_map, degree, energy, identity_map
 from s2flow.flow import STOP_FLOOR_FACTOR, run_flow
 from s2flow.mobius import (A_NORM_MAX, MobiusParams, conformal_factor,
                            eval_mobius, pullback, sample)
-from s2flow.rigidity import (SWEEP_HEADER, calibrated_excess, constant_sweep,
-                             default_excess_limit, default_flow_config,
-                             energy_deficit, fit_mobius, fit_objective, run_case,
-                             sup_gradient, tension_floor, verify_rigidity,
+from s2flow.rigidity import (SWEEP_HEADER, SweepRow, calibrated_excess,
+                             constant_sweep, default_excess_limit,
+                             default_flow_config, energy_deficit, fit_mobius,
+                             fit_objective, run_case, sup_gradient,
+                             tension_floor, verify_rigidity,
                              w12_identity_check, write_sweep_csv,
                              write_sweep_summary)
 from s2flow.scenarios import ScenarioSpec, generate, standard_family
@@ -649,6 +651,14 @@ def test_run_case_matches_verify(mesh_l4):
     assert row.case_id == "perturbed_mobius-L4-e0.1-s0"
     assert row.excess == pytest.approx(rep.excess, rel=1e-12)
     assert row.status == rep.flow_status
+    assert [row.ax, row.ay, row.az] == pytest.approx(rep.balance_a, rel=1e-12)
+    # every other number is the report's field of the same name
+    shared = [f.name for f in fields(SweepRow) if f.name not in
+              ("case_id", "level", "eps", "status", "ax", "ay", "az")]
+    assert len(shared) == 9
+    for name in shared:
+        assert getattr(row, name) == pytest.approx(getattr(rep, name), rel=1e-12,
+                                                   nan_ok=True), name
 
 
 def test_standard_family_shape():

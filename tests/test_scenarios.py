@@ -193,6 +193,21 @@ def test_spec_from_json_refuses_what_the_constructor_refuses(field, value):
         ScenarioSpec.from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize("text, match", [
+    # a misspelt seed loaded as seed 0
+    ('{"kind": "perturbed_mobius", "level": 2, "sed": 3, "eps": 0.1}', "unknown key 'sed'"),
+    ('{"level": 2}', "missing key 'kind'"),
+    ('{"kind": "mobius"}', "missing key 'level'"),
+    ('[{"kind": "mobius", "level": 2}]', "must be a JSON object, got list"),
+    ('{"kind": "mobius", "level": 2, "mobius": {"quat": [1, 0, 0, 0]}}',
+     "mobius: missing key 'a'"),
+], ids=["misspelt-key", "no-kind", "no-level", "array", "mobius-without-a"])
+def test_spec_from_json_refuses_a_malformed_file(text, match):
+    # each raised KeyError or AttributeError, or loaded silently
+    with pytest.raises(ParameterDomainError, match=match):
+        ScenarioSpec.from_json(text)
+
+
 @pytest.mark.parametrize("field, value", [
     ("eps", "0.1"), ("eps", True), ("eps", False),
     ("a_norm", "0.95"), ("a_norm", True), ("a_norm", False)])
